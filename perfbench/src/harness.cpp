@@ -158,22 +158,22 @@ Pending submit_one(Target& tgt, Request r, const Expect* e, bool check,
   return p;
 }
 
-// Waits for `p`, checks its output and records it. Returns the instant
-// the response was observed ready (0 when it failed).
-std::int64_t reap(Pending& p, Observed& obs, const TraceCtx& tc, Local& loc,
-                  std::int64_t due_ns = -1) {
-  if (!p.submitted) return 0;
+// Checks and records a response whose future was observed ready (or
+// timed out) at `ready`. `open_loop` requests also feed the handoff gap.
+// Returns `ready`, or 0 when the request failed.
+std::int64_t settle(Pending& p, bool is_ready, std::int64_t ready,
+                    Observed& obs, const TraceCtx& tc, Local& loc,
+                    bool open_loop) {
   bool ok = false;
   Response resp;
   try {
-    if (p.fut.wait_for(kFutureTimeout) == std::future_status::ready) {
+    if (is_ready) {
       resp = p.fut.get();
       ok = response_ok(*p.expect, resp, p.check_values);
     }
   } catch (...) {
     ok = false;
   }
-  const auto ready = now_ns();
   if (!ok) {
     obs.failed.fetch_add(1, std::memory_order_relaxed);
     return 0;
@@ -183,7 +183,7 @@ std::int64_t reap(Pending& p, Observed& obs, const TraceCtx& tc, Local& loc,
     record_request_spans(loc.log, p.id, p.submit_start, p.submit_end, ready,
                          &resp.stats);
     loc.served.push_back({p.kernel, resp.stats});
-    if (due_ns >= 0) {
+    if (open_loop) {
       loc.handoff_us.push_back(
           static_cast<double>(handoff_gap_ns(ready - p.submit_start,
                                              p.submit_end - p.submit_start,
@@ -192,6 +192,15 @@ std::int64_t reap(Pending& p, Observed& obs, const TraceCtx& tc, Local& loc,
     }
   }
   return ready;
+}
+
+// Blocks until `p` is ready (or times out), then settles it. The ready
+// instant is taken before the output is read or checked.
+std::int64_t reap(Pending& p, Observed& obs, const TraceCtx& tc, Local& loc) {
+  if (!p.submitted) return 0;
+  const bool is_ready =
+      p.fut.wait_for(kFutureTimeout) == std::future_status::ready;
+  return settle(p, is_ready, now_ns(), obs, tc, loc, false);
 }
 
 // A timed call into the target, recorded as its own root span.
@@ -216,8 +225,7 @@ struct Arrival {
 };
 
 Arrival arrive(Deployment& d, const ColdOperand& c, AnyMatrix copy,
-               std::uint64_t seq, int check_every, Observed& obs,
-               const TraceCtx& tc, Local& loc) {
+               Observed& obs, const TraceCtx& tc, Local& loc) {
   Arrival a;
   a.register_start = now_ns();
   a.h = timed("register_matrix", loc, tc, [&] {
@@ -226,33 +234,23 @@ Arrival arrive(Deployment& d, const ColdOperand& c, AnyMatrix copy,
   for (std::size_t i = 0; i < c.requests.size(); ++i) {
     Request r = c.requests[i];
     r.a = a.h;
-    const bool check = (seq + i) % static_cast<std::uint64_t>(check_every) == 0;
     a.pending.push_back(
-        submit_one(*d.target, std::move(r), &c.expects[i], check, obs, tc));
+        submit_one(*d.target, std::move(r), &c.expects[i], true, obs, tc));
   }
   return a;
 }
 
-// Reaps every request of an arrival, then evicts its operand.
-struct Departure {
-  double first_result_us = -1.0;  // register call -> first response ready;
-                                  // negative when the first request failed
-  int completed = 0;
-};
-
-Departure depart(Deployment& d, Arrival& a, Observed& obs, const TraceCtx& tc,
-                 Local& loc) {
-  Departure out;
+// Reaps every request of an arrival. Returns the time from the register
+// call to the first response ready, negative when that request failed.
+double collect(Arrival& a, Observed& obs, const TraceCtx& tc, Local& loc) {
+  double first_us = -1.0;
   for (std::size_t i = 0; i < a.pending.size(); ++i) {
     const auto ready = reap(a.pending[i], obs, tc, loc);
-    if (ready <= 0) continue;
-    out.completed += 1;
-    if (i == 0) {
-      out.first_result_us = static_cast<double>(ready - a.register_start) / 1e3;
+    if (i == 0 && ready > 0) {
+      first_us = static_cast<double>(ready - a.register_start) / 1e3;
     }
   }
-  timed("evict", loc, tc, [&] { d.target->evict(a.h); });
-  return out;
+  return first_us;
 }
 
 }  // namespace
@@ -334,11 +332,10 @@ Local make_local(const Deployment& d) {
 
 }  // namespace
 
-ClosedResult closed_loop(Deployment& d, const Traffic& t, double seconds,
+ClosedResult closed_loop(Deployment& d, int window, double seconds,
                          int slices, Observed& obs, const TraceCtx& tc) {
   const auto t0 = now_ns();
   const auto end = t0 + static_cast<std::int64_t>(seconds * 1e9);
-  std::atomic<std::uint64_t> next_cold{0};
   std::vector<std::vector<std::int64_t>> done_at(
       static_cast<std::size_t>(kGenerators));
 
@@ -347,24 +344,12 @@ ClosedResult closed_loop(Deployment& d, const Traffic& t, double seconds,
     auto& done = done_at[static_cast<std::size_t>(g)];
     std::deque<Pending> q;
     std::uint64_t seq = static_cast<std::uint64_t>(g);
-    std::uint64_t unit = 0;
     const auto reap_front = [&] {
-      if (reap(q.front(), obs, tc, loc) > 0) done.push_back(now_ns());
+      const auto ready = reap(q.front(), obs, tc, loc);
+      if (ready > 0) done.push_back(ready);
       q.pop_front();
     };
     while (now_ns() < end) {
-      ++unit;
-      if (t.churn_every > 0 && d.cold != nullptr &&
-          unit % static_cast<std::uint64_t>(t.churn_every) == 0) {
-        const auto c = next_cold.fetch_add(1) % d.cold->size();
-        const ColdOperand& op = (*d.cold)[c];
-        Arrival a = arrive(d, op, op.source, seq, kValueCheckEvery, obs,
-                           tc, loc);
-        const auto dep = depart(d, a, obs, tc, loc);
-        done.insert(done.end(), static_cast<std::size_t>(dep.completed),
-                    now_ns());
-        continue;
-      }
       const auto ti = d.draws[seq % d.draws.size()];
       const Template& tm = d.templates[ti];
       const bool check =
@@ -372,7 +357,7 @@ ClosedResult closed_loop(Deployment& d, const Traffic& t, double seconds,
               static_cast<std::uint64_t>(kValueCheckEvery) == 0;
       q.push_back(submit_one(*d.target, tm.req, &tm.expect, check, obs, tc));
       seq += static_cast<std::uint64_t>(kGenerators);
-      if (static_cast<int>(q.size()) >= t.window) reap_front();
+      if (static_cast<int>(q.size()) >= window) reap_front();
     }
     while (!q.empty()) reap_front();
     merge_local(obs, loc);
@@ -400,16 +385,11 @@ ClosedResult closed_loop(Deployment& d, const Traffic& t, double seconds,
   return res;
 }
 
-OpenResult open_loop_step(Deployment& d, const Traffic& t, double rate_rps,
-                          double seconds, Observed& obs, const TraceCtx& tc) {
-  // Requests per slot: a hit slot carries one template; a churn slot
-  // carries one new operand's whole arrival.
+OpenResult open_loop_step(Deployment& d, double rate_rps, double seconds,
+                          Observed& obs, const TraceCtx& tc) {
   struct Slot {
     std::int64_t due = 0;
-    std::uint32_t tmpl = 0;
-    Pending hit;
-    bool churn = false;
-    Arrival arrival;
+    Pending req;
   };
   const auto n = static_cast<std::size_t>(
       std::max(1.0, std::floor(rate_rps * seconds)));
@@ -431,29 +411,17 @@ OpenResult open_loop_step(Deployment& d, const Traffic& t, double rate_rps,
   const auto t0 = now_ns() + 2'000'000;
   Local sender_loc = make_local(d);
   Local reaper_loc = make_local(d);
-  std::uint64_t cold_seq = 0;
 
   std::thread sender([&] {
     prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
     auto next_sample = t0;
-    std::uint64_t seq = 0;
     for (std::size_t i = 0; i < n; ++i) {
       Slot& s = slots[i];
       s.due = t0 + static_cast<std::int64_t>(static_cast<double>(i) * period_ns);
-      s.churn = t.churn_every > 0 && d.cold != nullptr &&
-                (i + 1) % static_cast<std::size_t>(t.churn_every) == 0;
-      // Build the payload before the due time so the copy is not charged
+      // Copy the payload before the due time so the copy is not charged
       // to the request.
-      Request body;
-      AnyMatrix cold_copy;
-      const ColdOperand* op = nullptr;
-      if (s.churn) {
-        op = &(*d.cold)[cold_seq++ % d.cold->size()];
-        cold_copy = op->source;
-      } else {
-        s.tmpl = d.draws[seq % d.draws.size()];
-        body = d.templates[s.tmpl].req;
-      }
+      const Template& tm = d.templates[d.draws[i % d.draws.size()]];
+      Request body = tm.req;
       wait_until(s.due);
       const auto start = now_ns();
       res.send_lag_us.push_back(static_cast<double>(start - s.due) / 1e3);
@@ -463,16 +431,8 @@ OpenResult open_loop_step(Deployment& d, const Traffic& t, double rate_rps,
         sent.notify_one();
         break;
       }
-      if (s.churn) {
-        s.arrival = arrive(d, *op, std::move(cold_copy), i,
-                           kValueCheckEvery, obs, tc, sender_loc);
-      } else {
-        const bool check = seq % static_cast<std::uint64_t>(
-                                     kValueCheckEvery) == 0;
-        s.hit = submit_one(*d.target, std::move(body),
-                           &d.templates[s.tmpl].expect, check, obs, tc);
-        ++seq;
-      }
+      const bool check = i % static_cast<std::size_t>(kValueCheckEvery) == 0;
+      s.req = submit_one(*d.target, std::move(body), &tm.expect, check, obs, tc);
       sent.store(i + 1, std::memory_order_release);
       sent.notify_one();
       const auto now = now_ns();
@@ -485,53 +445,61 @@ OpenResult open_loop_step(Deployment& d, const Traffic& t, double rate_rps,
     }
   });
 
+  // The reaper stamps each request when its own future is seen ready, not
+  // in send order, so a fast request finishing behind a slow one is not
+  // charged for it. It blocks on the oldest outstanding future for at
+  // most kPoll, then checks all the others: a request that completes out
+  // of order is stamped within about one poll interval, one that
+  // completes in order exactly.
   std::thread reaper([&] {
-    for (std::size_t j = 0; j < n; ++j) {
-      for (;;) {
-        const auto v = sent.load(std::memory_order_acquire);
-        if (v == kAborted) return;
-        if (v > j) break;
-        sent.wait(v, std::memory_order_acquire);
-      }
+    prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
+    constexpr auto kPoll = std::chrono::microseconds(20);
+    std::vector<std::size_t> out;  // outstanding slots, in send order
+    std::size_t next = 0;
+    std::size_t completed = 0;
+    const auto finish = [&](std::size_t j, bool is_ready, std::int64_t ready) {
       Slot& s = slots[j];
-      if (s.churn) {
-        for (auto& p : s.arrival.pending) {
-          const auto ready = reap(p, obs, tc, reaper_loc, s.due);
-          if (ready > 0) {
-            res.step.latencies_us.push_back(
-                static_cast<double>(ready - s.due) / 1e3);
-          }
-        }
-        timed("evict", reaper_loc, tc,
-              [&] { d.target->evict(s.arrival.h); });
-      } else {
-        const auto ready = reap(s.hit, obs, tc, reaper_loc, s.due);
-        if (ready > 0) {
-          res.step.latencies_us.push_back(
-              static_cast<double>(ready - s.due) / 1e3);
+      if (settle(s.req, is_ready, ready, obs, tc, reaper_loc, true) > 0) {
+        res.step.latencies_us.push_back(static_cast<double>(ready - s.due) / 1e3);
+      }
+      done.store(++completed, std::memory_order_release);
+    };
+    for (;;) {
+      const auto v = sent.load(std::memory_order_acquire);
+      const std::size_t avail = v == kAborted ? sent_before_abort : v;
+      for (; next < avail; ++next) {
+        if (slots[next].req.submitted) {
+          out.push_back(next);
+        } else {
+          finish(next, false, 0);  // refused by submit()
         }
       }
-      done.store(j + 1, std::memory_order_release);
+      if (out.empty()) {
+        if (v == kAborted || next == n) break;
+        sent.wait(v, std::memory_order_acquire);
+        continue;
+      }
+      slots[out.front()].req.fut.wait_for(kPoll);
+      const auto now = now_ns();
+      std::size_t keep = 0;
+      for (const auto j : out) {
+        auto& f = slots[j].req.fut;
+        if (f.wait_for(std::chrono::seconds(0)) == std::future_status::ready) {
+          finish(j, true, now);
+        } else if (now - slots[j].due >
+                       std::chrono::nanoseconds(kFutureTimeout).count()) {
+          finish(j, false, 0);  // hung: counted failed, future abandoned
+        } else {
+          out[keep++] = j;
+        }
+      }
+      out.resize(keep);
     }
   });
   sender.join();
   reaper.join();
   res.step.aborted = sent.load() == kAborted;
-  const std::size_t total_sent = res.step.aborted ? sent_before_abort : n;
-  // After an abort the reaper stops early; collect the stragglers so no
-  // future is abandoned mid-flight.
-  for (std::size_t j = done.load(); j < total_sent; ++j) {
-    Slot& s = slots[j];
-    if (s.churn) {
-      for (auto& p : s.arrival.pending) reap(p, obs, tc, reaper_loc);
-      d.target->evict(s.arrival.h);
-    } else {
-      reap(s.hit, obs, tc, reaper_loc);
-    }
-  }
-  for (std::size_t j = 0; j < total_sent; ++j) {
-    res.step.attempted += slots[j].churn ? slots[j].arrival.pending.size() : 1;
-  }
+  res.step.attempted = res.step.aborted ? sent_before_abort : n;
   res.step.failed =
       res.step.attempted - std::min(res.step.attempted,
                                     res.step.latencies_us.size());
@@ -541,18 +509,25 @@ OpenResult open_loop_step(Deployment& d, const Traffic& t, double rate_rps,
 }
 
 std::vector<double> cold_probe(Deployment& d, int count, Observed& obs,
-                               const TraceCtx& tc) {
+                               const TraceCtx& tc, int live) {
   std::vector<double> out;
   if (d.cold == nullptr || d.cold->empty()) return out;
   Local loc = make_local(d);
+  std::deque<MatrixHandle> registered;
+  const auto evict_oldest = [&] {
+    const auto h = registered.front();
+    registered.pop_front();
+    timed("evict", loc, tc, [&] { d.target->evict(h); });
+  };
   for (int i = 0; i < count; ++i) {
     const ColdOperand& op = (*d.cold)[static_cast<std::size_t>(i) % d.cold->size()];
-    AnyMatrix copy = op.source;
-    Arrival a = arrive(d, op, std::move(copy), static_cast<std::uint64_t>(i),
-                       1, obs, tc, loc);
-    const auto dep = depart(d, a, obs, tc, loc);
-    if (dep.first_result_us >= 0) out.push_back(dep.first_result_us);
+    Arrival a = arrive(d, op, op.source, obs, tc, loc);
+    const double first_us = collect(a, obs, tc, loc);
+    if (first_us >= 0) out.push_back(first_us);
+    registered.push_back(a.h);
+    if (static_cast<int>(registered.size()) >= live) evict_oldest();
   }
+  while (!registered.empty()) evict_oldest();
   merge_local(obs, loc);
   return out;
 }

@@ -152,12 +152,6 @@ inline constexpr int kGenerators = 2;
 // Every response's shape is checked; every k-th response's values too.
 inline constexpr int kValueCheckEvery = 8;
 
-// Knobs of one traffic shape, fixed per workload.
-struct Traffic {
-  int window = 4;       // in-flight requests per client
-  int churn_every = 0;  // >0: every k-th unit of work is a new operand
-};
-
 struct TraceCtx {
   bool on = false;
   std::atomic<std::uint64_t>* next_request = nullptr;
@@ -168,7 +162,8 @@ struct ClosedResult {
   std::vector<double> slice_rps;
 };
 
-ClosedResult closed_loop(Deployment& d, const Traffic& t, double seconds,
+// `window` requests in flight per client.
+ClosedResult closed_loop(Deployment& d, int window, double seconds,
                          int slices, Observed& obs, const TraceCtx& tc);
 
 struct OpenResult {
@@ -176,13 +171,15 @@ struct OpenResult {
   std::vector<double> send_lag_us;
 };
 
-OpenResult open_loop_step(Deployment& d, const Traffic& t, double rate_rps,
-                          double seconds, Observed& obs, const TraceCtx& tc);
+OpenResult open_loop_step(Deployment& d, double rate_rps, double seconds,
+                          Observed& obs, const TraceCtx& tc);
 
-// Sequential register -> first request -> evict cycles of `count` new
-// operands on an otherwise idle target; returns first-result latencies.
+// Sequential register -> requests -> evict cycles of `count` new operands
+// on an otherwise idle target; returns first-result latencies. Each
+// operand stays registered until `live` newer ones are, so with live > 1
+// their plans and representations pile up in the caches.
 std::vector<double> cold_probe(Deployment& d, int count, Observed& obs,
-                               const TraceCtx& tc);
+                               const TraceCtx& tc, int live = 1);
 
 // Checks a response against its expectation; values only when asked.
 bool response_ok(const Expect& e, const Response& r, bool compare_values);

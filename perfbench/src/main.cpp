@@ -4,9 +4,9 @@
 //                     [--spans-out FILE]
 //
 // --trace 0 reports the end-to-end metrics from untraced traffic:
-//   setup_s              median of seven deployments (server construction,
+//   setup_s              median of 11 deployments (server construction,
 //                        resident-operand registration, warm-up)
-//   throughput_rps       pipelined closed loop, median of ten time slices
+//   throughput_rps       pipelined closed loop, median of time slices
 //   latency_p50/p90_us   open loop at the workload's reference rate, timed
 //                        from each request's due time
 //   max_rate_at_slo_rps  highest passing step of the fixed rate ladder
@@ -15,8 +15,12 @@
 //   peak_rss_mb          peak resident set after setup and a saturated
 //                        closed loop
 // The closed loop, the reference-rate open loop and the new-operand probes
-// alternate in rounds; the five rounds with the least hypervisor steal
-// are reported (percentiles from the best of them).
+// alternate in rounds for half of --seconds; the five rounds with the
+// least hypervisor steal are reported (latency percentiles of their
+// typical 500-request window, first-result percentiles pooled). Under heavy steal
+// the rounds go on for up to a quarter of --seconds more. The ladder gets
+// most of the rest, so a run takes about --seconds plus input generation
+// and the deployments.
 // --trace 1 runs one deployment with the benchmark's spans on and reports
 // the per-layer metrics; the direct probes of sage, convert, the kernels
 // and a STREAM triad run after the served phases.
@@ -185,12 +189,15 @@ void write_spans(const std::string& path, const std::vector<Span>& spans) {
   }
 }
 
-// p50 and p90 of the best round go into the result; p99 over all rounds
-// is printed with its sample count. Run to run, the p99 of these workloads
-// on a shared 4-vCPU host moved by 30-100% of its median (millisecond
-// host wake-up stalls), more than any bound a regression gate could use.
+// p50 and p90 go into the result, either of typical windows of
+// `window` samples or, with window 0, over all rounds pooled; p99 over
+// all rounds is printed with its sample count.
+// Run to run, the p99 of these workloads on a shared 4-vCPU host moved by
+// 30-100% of its median (millisecond host wake-up stalls), more than any
+// bound a regression gate could use.
 void add_latency(Report& r, const std::string& base,
-                 const std::vector<std::vector<double>>& rounds) {
+                 const std::vector<std::vector<double>>& rounds,
+                 std::size_t window) {
   std::vector<double> pooled;
   std::vector<std::string> per_round;
   for (const auto& v : rounds) {
@@ -198,14 +205,18 @@ void add_latency(Report& r, const std::string& base,
     per_round.push_back(num(percentile(v, 0.5).value) + "/" +
                         num(percentile(v, 0.9).value));
   }
-  const auto p90 = best_round_percentile(rounds, 0.90);
+  const auto pick = [&](double q) {
+    return window > 0 ? windowed_percentile(rounds, q, window)
+                      : percentile(pooled, q);
+  };
+  const auto p90 = pick(0.90);
   const auto p99 = percentile(pooled, 0.99);
-  r.add(base + "_p50_us", best_round_percentile(rounds, 0.50).value, "us");
+  r.add(base + "_p50_us", pick(0.50).value, "us");
   r.add(base + "_p90_us", p90.value, "us");
   r.print(base + "_p99_us", p99.value, "us");
   r.note(base + ".samples", std::to_string(pooled.size()));
   r.note(base + ".rounds_p50_p90", join(per_round, " "));
-  r.note(base + ".p90_beyond_min", std::to_string(p90.beyond));
+  r.note(base + ".p90_beyond", std::to_string(p90.beyond));
   r.note(base + ".p99_beyond", std::to_string(p99.beyond));
   if (!p99.supported()) {
     r.note(base + ".p99_supported", "false: fewer than 10 samples beyond p99");
@@ -231,25 +242,30 @@ std::string joined(const std::vector<double>& v) {
   return join(parts, ",");
 }
 
+// Shares of --seconds: untimed warm-up, measurement rounds, rate ladder.
+constexpr double kWarmShare = 0.08, kRoundsShare = 0.5, kLadderShare = 0.38;
+
 // Untimed traffic before any measurement. The first seconds of serving
 // run slower (allocator pages faulting in, the arena and the bounded
-// caches filling): on operand_churn the first rounds read 3-5x the
-// latency of later ones without it. Returns the peak RSS after the
-// saturated closed loop: the server's footprint under load, read before
-// the new-operand probes and the phases whose length varies.
+// caches filling). Returns the peak RSS after the saturated closed loop:
+// the server's footprint under load, read before the new-operand probes
+// and the phases whose length varies.
 double warm_up(Deployment& d, const WorkloadDef& def, double s, Observed& obs) {
-  closed_loop(d, def.traffic, 0.1 * s, 1, obs, TraceCtx{});
+  closed_loop(d, def.window, kWarmShare * s, 1, obs, TraceCtx{});
   const double rss_mb = peak_rss_mb();
   cold_probe(d, def.cold_probes / 10, obs, TraceCtx{});
   return rss_mb;
 }
+
+// setup_s is the median over this many deployments.
+constexpr int kDeployments = 11;
 
 void run_untraced(Workload& w, const Args& args, Observed& obs, Report& r) {
   const auto& def = w.def;
   const double s = args.seconds;
   std::vector<double> setups;
   std::unique_ptr<Deployment> d;
-  for (int i = 0; i < 7; ++i) {
+  for (int i = 0; i < kDeployments; ++i) {
     d.reset();
     const auto t0 = now_ns();
     d = w.deploy();
@@ -261,27 +277,30 @@ void run_untraced(Workload& w, const Args& args, Observed& obs, Report& r) {
   const TraceCtx off;
   const double rss_mb = warm_up(*d, def, s, obs);
 
-  // Rounds of closed loop, reference-rate open loop and a fifth of the
-  // new-operand probes. A round during which the hypervisor stole more
-  // than 2% of the CPU measured the host's neighbours as much as the
-  // server: up to three extra rounds run while fewer than five were
-  // quiet, and the five quietest rounds are reported.
-  constexpr std::size_t kRounds = 5, kMaxRounds = 8;
-  constexpr double kQuietSteal = 0.02;
+  // Rounds of closed loop, reference-rate open loop and 200 new-operand
+  // probes, until their share of the run is spent. A round during which
+  // the hypervisor stole more than 2% of the CPU measured the host's
+  // neighbours as much as the server: while fewer than five rounds were
+  // quiet, rounds go on for up to kExtraShare more of the run. The five
+  // quietest rounds are reported.
+  constexpr std::size_t kRounds = 5;
+  constexpr double kQuietSteal = 0.02, kExtraShare = 0.25;
+  const auto rounds_end = now_ns() + static_cast<std::int64_t>(kRoundsShare * s * 1e9);
+  const auto extra_end = rounds_end + static_cast<std::int64_t>(kExtraShare * s * 1e9);
+  const double ref_rate = def.ladder_rps.front();
   struct Round {
     double steal = 0.0;
     std::vector<double> slices, latency, first;
   };
   std::vector<Round> rounds;
-  std::size_t quiet = 0;
   std::vector<double> lag;
-  while (rounds.size() < kRounds ||
-         (quiet < kRounds && rounds.size() < kMaxRounds)) {
+  std::size_t quiet = 0;
+  while (rounds.size() < kRounds || now_ns() < rounds_end ||
+         (quiet < kRounds && now_ns() < extra_end)) {
     const auto j0 = cpu_jiffies();
     Round rd;
-    rd.slices = closed_loop(*d, def.traffic, 0.06 * s, 2, obs, off).slice_rps;
-    auto o = open_loop_step(*d, def.traffic, def.ladder_rps.front(),
-                            std::max(0.06 * s, 600.0 / def.ladder_rps.front()),
+    rd.slices = closed_loop(*d, def.window, 0.03 * s, 2, obs, off).slice_rps;
+    auto o = open_loop_step(*d, ref_rate, std::max(0.03 * s, 600.0 / ref_rate),
                             obs, off);
     rd.latency = std::move(o.step.latencies_us);
     lag.insert(lag.end(), o.send_lag_us.begin(), o.send_lag_us.end());
@@ -293,6 +312,8 @@ void run_untraced(Workload& w, const Args& args, Observed& obs, Report& r) {
   std::vector<std::string> round_steal;
   for (const auto& rd : rounds) round_steal.push_back(num(rd.steal));
   r.note("round_steal_frac", join(round_steal, ","));
+  r.note("quiet_rounds", std::to_string(quiet) + " of " +
+                             std::to_string(rounds.size()) + " at <= 2% steal");
   std::stable_sort(rounds.begin(), rounds.end(),
                    [](const Round& a, const Round& b) { return a.steal < b.steal; });
   rounds.resize(kRounds);
@@ -306,18 +327,34 @@ void run_untraced(Workload& w, const Args& args, Observed& obs, Report& r) {
   // The ladder climbs until a step misses in quiet conditions: a missed
   // step runs once more, and up to twice more again while its miss came
   // with more than 2% steal, so host noise does not end it below capacity.
+  // A step starts only while the ladder's share of the run has room for
+  // it; a ladder cut short that way is noted as truncated.
+  const auto ladder_end = now_ns() + static_cast<std::int64_t>(kLadderShare * s * 1e9);
   std::vector<LadderStep> steps;
   int retries = 0;
+  bool truncated = false;
   for (const double rate : def.ladder_rps) {
     // Every step runs long enough for 1200 requests: a p99 needs 1000.
-    const double secs = std::max(0.05 * s, 1200.0 / rate);
+    const double secs = std::max(0.03 * s, 1200.0 / rate);
+    const auto fits = [&] {
+      return steps.empty() ||
+             now_ns() + static_cast<std::int64_t>(secs * 1e9) <= ladder_end;
+    };
+    if (!fits()) {
+      truncated = true;
+      break;
+    }
     OpenResult o;
     for (int attempt = 0;; ++attempt) {
       const auto j0 = cpu_jiffies();
-      o = open_loop_step(*d, def.traffic, rate, secs, obs, off);
+      o = open_loop_step(*d, rate, secs, obs, off);
       if (step_meets_slo(o.step, def.slo_p99_us)) break;
       const bool noisy = steal_between(j0, cpu_jiffies()) > kQuietSteal;
       if (attempt == 3 || (attempt >= 1 && !noisy)) break;
+      if (!fits()) {
+        truncated = true;
+        break;
+      }
       ++retries;
     }
     steps.push_back(std::move(o.step));
@@ -325,9 +362,14 @@ void run_untraced(Workload& w, const Args& args, Observed& obs, Report& r) {
   }
 
   r.add("throughput_rps", median(slices), "1/s");
-  add_latency(r, "latency", latency);
+  // Open-loop latency of a typical 500-request window: a steal burst or
+  // wake-up stall lifts the few windows it covers, not the median window.
+  // First-result latency pooled: its round-to-round spread within a quiet
+  // run (+-20% on the p50 over 200 probes) is wider than its spread
+  // between runs, so averaging is steadiest.
+  add_latency(r, "latency", latency, 500);
   r.add("max_rate_at_slo_rps", max_rate_at_slo(steps, def.slo_p99_us), "1/s");
-  add_latency(r, "first_result", first_us);
+  add_latency(r, "first_result", first_us, 0);
   const double attempted = static_cast<double>(obs.attempted.load());
   const double failed = static_cast<double>(obs.failed.load());
   r.add("success_frac", attempted > 0 ? 1.0 - failed / attempted : 0.0, "frac");
@@ -335,9 +377,10 @@ void run_untraced(Workload& w, const Args& args, Observed& obs, Report& r) {
   r.add("setup_s", median(setups), "s");
   r.add("peak_rss_mb", rss_mb, "MB");
 
-  r.note("reference_rate_rps", num(def.ladder_rps.front()));
+  r.note("reference_rate_rps", num(ref_rate));
   r.note("ladder", ladder_summary(steps, def.slo_p99_us));
   r.note("ladder_retries", std::to_string(retries));
+  if (truncated) r.note("ladder_truncated", "the ladder's time share ran out");
   r.note("slo_p99_us", num(def.slo_p99_us));
   r.note("closed_slice_rps", joined(slices));
   r.note("setup_s_runs", joined(setups));
@@ -358,19 +401,27 @@ void run_traced(Workload& w, const Args& args, Observed& obs, Report& r) {
   const double s = args.seconds;
   warm_up(*d, def, s, obs);
 
-  const auto base = closed_loop(*d, def.traffic, 0.15 * s, 5, obs, off);
-  const auto traced = closed_loop(*d, def.traffic, 0.15 * s, 5, obs, on);
-  const auto open = open_loop_step(*d, def.traffic, def.ladder_rps.front(),
-                                   0.2 * s, obs, on);
-  {
-    // New-operand cycles feed the register/evict spans only: their
-    // responses would read as cache misses of the resident traffic.
-    Observed cold;
-    cold_probe(*d, def.cold_probes / 4, cold, on);
-    obs.attempted += cold.attempted.load();
-    obs.failed += cold.failed.load();
-    obs.merge(cold.spans, {});
-  }
+  const auto base = closed_loop(*d, def.window, 0.15 * s, 5, obs, off);
+  const auto traced = closed_loop(*d, def.window, 0.15 * s, 5, obs, on);
+  const auto open = open_loop_step(*d, def.ladder_rps.front(), 0.2 * s, obs, on);
+  // New operands on the router target (the workload's server options on
+  // 2 shards with small bounded caches), each kept registered until
+  // kColdLive newer ones are: every request misses the plan cache and,
+  // unless the operand arrived in its ACF, the conversion cache, the
+  // router places and routes each operand, and the pile of live operands
+  // forces capacity evictions. Their ServeStats are kept apart from the
+  // resident traffic's.
+  constexpr int kColdLive = 32;
+  Deployment routed;
+  routed.target = make_router_target(w.server);
+  routed.cold = &w.cold;
+  Observed cold;
+  cold_probe(routed, def.cold_probes / 4, cold, on, kColdLive);
+  obs.attempted += cold.attempted.load();
+  obs.failed += cold.failed.load();
+  obs.merge(cold.spans, {});
+  const auto routed_snap = routed.target->metrics();
+  routed.target.reset();
 
   // Modeled device time of one pass over every distinct request: an exact
   // count that a host-only change leaves unchanged.
@@ -401,15 +452,20 @@ void run_traced(Workload& w, const Args& args, Observed& obs, Report& r) {
   std::map<Kernel, std::vector<double>> exec_us;
   double batch_sum = 0, batched = 0, plan_hits = 0, conv_hits = 0,
          conv_all = 0, fallback = 0, device = 0;
+  // Miss timings of the resident traffic (normally none) and the new
+  // operands.
+  const auto add_misses = [&](const mt::runtime::ServeStats& x) {
+    if (!x.plan_cache_hit) plan_miss.push_back(us(x.plan_ns));
+    if (x.conversion_misses > 0) conv_miss.push_back(us(x.convert_ns));
+  };
   for (const auto& [kernel, x] : obs.served) {
     queue.push_back(us(x.queue_wait_ns));
     batch_sum += x.batch_size;
     batched += x.batched ? 1 : 0;
     plan_hits += x.plan_cache_hit ? 1 : 0;
-    if (!x.plan_cache_hit) plan_miss.push_back(us(x.plan_ns));
+    add_misses(x);
     conv_hits += x.conversion_hits;
     conv_all += x.conversion_hits + x.conversion_misses;
-    if (x.conversion_misses > 0) conv_miss.push_back(us(x.convert_ns));
     exec_us[kernel].push_back(us(x.exec_ns));
     fallback += x.dispatch.path == mt::exec::Path::kFallback ? 1 : 0;
     if (x.dispatch.backend != mt::exec::BackendKind::kCpu) {
@@ -417,6 +473,8 @@ void run_traced(Workload& w, const Args& args, Observed& obs, Report& r) {
       dev_wait.push_back(us(x.device_wait_ns));
     }
   }
+  const auto resident_misses = plan_miss.size();
+  for (const auto& c : cold.served) add_misses(c.stats);
   const double n = std::max<double>(1.0, static_cast<double>(obs.served.size()));
   r.add_p50_p99("runtime.queue_wait_us", queue);
   r.add("runtime.batch_size_mean", batch_sum / n, "count");
@@ -427,13 +485,19 @@ void run_traced(Workload& w, const Args& args, Observed& obs, Report& r) {
         "frac");
   r.add("runtime.plan_us_p50", percentile(plan_miss, 0.5).value, "us");
   r.add("runtime.convert_us_p50", percentile(conv_miss, 0.5).value, "us");
-  r.note("runtime.plan_misses", std::to_string(plan_miss.size()));
+  r.note("runtime.plan_misses", std::to_string(plan_miss.size()) + " (" +
+                                    std::to_string(resident_misses) +
+                                    " resident, the rest new operands)");
   r.note("runtime.convert_misses", std::to_string(conv_miss.size()));
+  r.note("runtime.evictions_resident",
+         std::to_string(series(snap, "mt_plan_cache_evictions_total") +
+                        series(snap, "mt_conversion_cache_evictions_total")));
   r.add("runtime.plan_cache_evictions",
-        static_cast<double>(series(snap, "mt_plan_cache_evictions_total")),
+        static_cast<double>(series(routed_snap, "mt_plan_cache_evictions_total")),
         "count");
   r.add("runtime.conversion_cache_evictions",
-        static_cast<double>(series(snap, "mt_conversion_cache_evictions_total")),
+        static_cast<double>(
+            series(routed_snap, "mt_conversion_cache_evictions_total")),
         "count");
   r.add("runtime.register_us_p50",
         percentile(span_us(spans, "register_matrix"), 0.5).value, "us");
@@ -444,13 +508,14 @@ void run_traced(Workload& w, const Args& args, Observed& obs, Report& r) {
       static_cast<double>(series(snap, "mt_arena_fresh_allocs_total"));
   r.add("runtime.arena_reuse_frac",
         reuses + fresh > 0 ? reuses / (reuses + fresh) : 0.0, "frac");
+  // Requests completed per shard of the router target.
   double most = 0, total = 0;
-  for (const auto c : obs.shard_completed) {
+  for (const auto c : cold.shard_completed) {
     most = std::max(most, static_cast<double>(c));
     total += static_cast<double>(c);
   }
   const double per_shard =
-      total / std::max<double>(1.0, static_cast<double>(obs.shard_completed.size()));
+      total / std::max<double>(1.0, static_cast<double>(cold.shard_completed.size()));
   r.add("router.shard_imbalance", per_shard > 0 ? most / per_shard : 1.0, "ratio");
   for (const auto k : mt::kAllKernels) {
     const std::string key = std::string("exec.") + kernel_key(k);
@@ -494,7 +559,7 @@ std::string fingerprint(const Workload& w, const Args& args) {
      << ",\"llc_bytes\":" << llc_bytes()
      << ",\"workers\":" << kServingThreads
      << ",\"generators\":" << kGenerators
-     << ",\"window\":" << w.def.traffic.window
+     << ",\"window\":" << w.def.window
      << ",\"server\":" << quote(w.def.server)
      << ",\"workload\":" << quote(args.workload)
      << ",\"seed\":" << args.seed << ",\"seconds\":" << num(args.seconds)

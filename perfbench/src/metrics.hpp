@@ -53,24 +53,29 @@ inline double median(std::vector<double> v) {
   return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
 }
 
-// The q-percentile of the best round: each round's samples give one
-// percentile and the lowest is reported. Noise from the host only ever
-// adds latency, and it comes in bursts of seconds, so the least disturbed
-// round is the steadiest estimate of the system itself. `samples` counts
-// every round; `beyond` is the smallest per-round count beyond the
-// percentile, so supported() holds only when every round supports it.
-inline Percentile best_round_percentile(
-    const std::vector<std::vector<double>>& rounds, double q) {
+// The q-percentile of a typical window: each round's samples, in
+// completion order, are cut into consecutive windows of `window` samples
+// (a shorter remainder is dropped), and the median of the windows'
+// q-percentiles is reported. Host noise comes in bursts of milliseconds
+// to seconds; a burst lifts the percentile of the few windows it covers
+// and leaves the median of all of them alone. `samples` counts every
+// sample; `beyond` is the count beyond the percentile in one window.
+inline Percentile windowed_percentile(
+    const std::vector<std::vector<double>>& rounds, double q,
+    std::size_t window) {
   Percentile out;
-  bool first = true;
+  std::vector<double> per_window;
   for (const auto& r : rounds) {
-    const auto p = percentile(r, q);
-    out.samples += p.samples;
-    if (p.samples == 0) continue;
-    out.value = first ? p.value : std::min(out.value, p.value);
-    out.beyond = first ? p.beyond : std::min(out.beyond, p.beyond);
-    first = false;
+    out.samples += r.size();
+    for (std::size_t i = 0; window > 0 && i + window <= r.size(); i += window) {
+      const auto p = percentile({r.begin() + static_cast<std::ptrdiff_t>(i),
+                                 r.begin() + static_cast<std::ptrdiff_t>(i + window)},
+                                q);
+      per_window.push_back(p.value);
+      out.beyond = p.beyond;
+    }
   }
+  out.value = median(per_window);
   return out;
 }
 
@@ -151,7 +156,8 @@ struct Stages {
 // Client-observed latency not accounted for by the submit call or any
 // server stage: promise set -> future ready -> client wakes, plus work
 // the stages do not time (a fused batch's scatter, waiting behind the
-// rest of a drained window). Submit and queue overlap, so their union —
+// rest of a drained window). The open-loop reaper stamps a request that
+// completes out of order within one 20 us poll, which lands here too. Submit and queue overlap, so their union —
 // the longer of the two — is subtracted once. The result is signed and
 // reported as measured; a negative gap means the stages overran the
 // client's own clock.

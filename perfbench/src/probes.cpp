@@ -147,11 +147,7 @@ mt::exec::JobOutput run_kernel(const RequestSpec& s, const AnyMatrix* a,
 void probe_sage_convert(const Workload& w, double budget_s, SpanLog& log,
                         Report& r) {
   std::vector<const AnyMatrix*> ops;
-  if (w.def.traffic.churn_every > 0) {
-    for (const auto& c : w.cold) ops.push_back(&c.source);
-  } else {
-    for (const auto& m : w.mats) ops.push_back(&m);
-  }
+  for (const auto& m : w.mats) ops.push_back(&m);
   std::vector<mt::CooMatrix> coos;
   for (const auto* m : ops) {
     coos.push_back(std::get<mt::CooMatrix>(mt::convert(*m, Format::kCOO)));

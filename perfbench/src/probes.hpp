@@ -9,8 +9,7 @@
 
 namespace pb {
 
-// Times sage_select_* on every probe operand (the arrivals on
-// operand_churn, the resident operands elsewhere) and convert() on each
+// Times sage_select_* on every resident operand and convert() on each
 // operand's MCF -> chosen-ACF pair. Spans "sage_select" and "convert".
 void probe_sage_convert(const Workload& w, double budget_s, SpanLog& log,
                         Report& r);

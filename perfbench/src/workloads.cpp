@@ -105,12 +105,6 @@ ColdOperand cold_operand(AnyMatrix src, std::uint64_t seed) {
   return c;
 }
 
-ServerOptions base_server() {
-  ServerOptions o;
-  o.num_workers = kServingThreads;
-  return o;
-}
-
 // --- kernel_mix ---
 //
 // All six kernels over resident Table III operands (journal .. m3plates,
@@ -180,7 +174,6 @@ void build_kernel_mix(Workload& w) {
                mix(seed, 60 + static_cast<std::uint64_t>(i))),
         mix(seed, 80 + static_cast<std::uint64_t>(i))));
   }
-  w.make_target = [] { return make_server(base_server()); };
 }
 
 // --- spmv_stream ---
@@ -205,56 +198,7 @@ void build_spmv_stream(Workload& w) {
     w.cold.push_back(cold_operand(
         sparse(n, n, 0.05, mcfs[u % 6], mix(seed, 60 + u)), mix(seed, 80 + u)));
   }
-  w.make_target = [] {
-    ServerOptions o = base_server();
-    o.queue_capacity = 256;
-    return make_server(o);
-  };
-}
-
-// --- operand_churn ---
-//
-// A 2-shard ShardedServer (1 worker per shard, bounded caches). New
-// operands from ~50% down to ~0.01% density arrive in a rotating MCF,
-// serve three requests and are evicted, interleaved with hits on eight
-// resident operands.
-void build_operand_churn(Workload& w) {
-  const std::uint64_t seed = w.seed;
-  const Format mcfs[] = {Format::kCSR, Format::kCOO, Format::kCSC,
-                         Format::kRLC, Format::kZVC, Format::kBSR,
-                         Format::kDIA, Format::kELL, Format::kDense};
-  constexpr index_t n = 512;
-  for (int i = 0; i < 8; ++i) {
-    const auto u = static_cast<std::uint64_t>(i);
-    // 1%..8%: dense enough to matter, sparse enough that SAGE keeps them
-    // compressed (a Dense ACF here makes one hit cost milliseconds).
-    const double density = 0.01 * static_cast<double>(1 + i);
-    w.mats.push_back(sparse(n, n, density, mcfs[u % 4], mix(seed, 10 + u)));
-    w.specs.push_back(spmv_spec(i, n, mix(seed, 20 + u), 1.0));
-    w.specs.push_back(spmm_spec(Kernel::kSpMM, i, n, 8, mix(seed, 30 + u), 0.5));
-  }
-  // 36 arrivals: sizes 128/256/512 crossed with 12 log-spaced densities
-  // from 0.5 down to 1e-4, formats rotating over all nine matrix formats.
-  constexpr int kLevels = 12;
-  const index_t sizes[] = {128, 256, 512};
-  for (int i = 0; i < 3 * kLevels; ++i) {
-    const auto u = static_cast<std::uint64_t>(i);
-    const int level = i % kLevels;
-    const double density =
-        0.5 * std::pow(2e-4, static_cast<double>(level) / (kLevels - 1));
-    const index_t m = sizes[i / kLevels];
-    w.cold.push_back(cold_operand(
-        sparse(m, m, density, mcfs[u % 9], mix(seed, 60 + u)),
-        mix(seed, 200 + u)));
-  }
-  w.make_target = [] {
-    mt::runtime::ShardedServerOptions o;
-    o.num_shards = kServingThreads;
-    o.shard.num_workers = 1;
-    o.shard.caches.plan_limits.max_entries = 48;
-    o.shard.caches.conversion_limits.max_entries = 48;
-    return make_sharded(o);
-  };
+  w.server.queue_capacity = 256;
 }
 
 // --- device_offload ---
@@ -280,38 +224,29 @@ void build_device_offload(Workload& w) {
         sparse(128, 128, 0.05, mcfs[u % 3], mix(seed, 60 + u)),
         mix(seed, 80 + u)));
   }
-  w.make_target = [] {
-    ServerOptions o = base_server();
-    o.backend.backend = mt::exec::BackendKind::kMint;
-    o.backend.policy = mt::runtime::BackendPolicy::kAuto;
-    o.backend.async = true;
-    o.backend.simulate_latency = true;
-    o.backend.ring_workers = 2;
-    return make_server(o);
-  };
+  auto& o = w.server.backend;
+  o.backend = mt::exec::BackendKind::kMint;
+  o.policy = mt::runtime::BackendPolicy::kAuto;
+  o.async = true;
+  o.simulate_latency = true;
+  o.ring_workers = 2;
 }
 
 WorkloadDef def_for(const std::string& name) {
   WorkloadDef d;
   d.name = name;
   if (name == "kernel_mix") {
-    d.traffic.window = 2;
+    d.window = 2;
     d.ladder_rps = {2000, 5000, 6000, 7000, 8000, 9000, 10'000, 11'000, 12'000, 13'000, 14'000};
     d.slo_p99_us = 50'000;
     d.server = "Server: 2 workers, caches on, batch window 8";
   } else if (name == "spmv_stream") {
-    d.traffic.window = 8;
+    d.window = 8;
     d.ladder_rps = {8'000, 16'000, 22'000, 28'000, 34'000, 40'000, 46'000, 52'000};
     d.slo_p99_us = 50'000;
     d.server = "Server: 2 workers, queue 256, batch window 8";
-  } else if (name == "operand_churn") {
-    d.traffic.window = 4;
-    d.traffic.churn_every = 12;
-    d.ladder_rps = {600, 1600, 2000, 2400, 2800, 3200, 3600, 4000, 4400};
-    d.slo_p99_us = 200'000;
-    d.server = "ShardedServer: 2 shards x 1 worker, caches bounded at 48 entries";
   } else if (name == "device_offload") {
-    d.traffic.window = 8;
+    d.window = 8;
     d.ladder_rps = {4'000, 8'500, 10'000, 11'500, 13'000, 14'500, 16'000, 17'500, 19'000};
     d.slo_p99_us = 50'000;
     d.server = "Server: 2 workers, mint backend, kAuto, async ring (2 ring workers), simulated latency";
@@ -351,7 +286,7 @@ void Workload::finish_inputs() {
 
 std::unique_ptr<Deployment> Workload::deploy() {
   auto d = std::make_unique<Deployment>();
-  d->target = make_target();
+  d->target = make_server(server);
   std::vector<MatrixHandle> mh;
   for (const auto& m : mats) mh.push_back(d->target->register_matrix(m));
   std::vector<mt::runtime::TensorHandle> th;
@@ -384,21 +319,30 @@ std::unique_ptr<Deployment> Workload::deploy() {
   return d;
 }
 
+std::unique_ptr<Target> make_router_target(const ServerOptions& server) {
+  mt::runtime::ShardedServerOptions o;
+  o.num_shards = kServingThreads;
+  o.shard = server;
+  o.shard.num_workers = 1;
+  o.shard.caches.plan_limits.max_entries = kRouterCacheEntries;
+  o.shard.caches.conversion_limits.max_entries = kRouterCacheEntries;
+  return make_sharded(o);
+}
+
 std::vector<std::string> workload_names() {
-  return {"kernel_mix", "spmv_stream", "operand_churn", "device_offload"};
+  return {"kernel_mix", "spmv_stream", "device_offload"};
 }
 
 std::unique_ptr<Workload> make_workload(const std::string& name,
                                         std::uint64_t seed) {
   auto w = std::make_unique<Workload>();
   w->seed = seed;
+  w->server.num_workers = kServingThreads;
   w->def = def_for(name);
   if (name == "kernel_mix") {
     build_kernel_mix(*w);
   } else if (name == "spmv_stream") {
     build_spmv_stream(*w);
-  } else if (name == "operand_churn") {
-    build_operand_churn(*w);
   } else if (name == "device_offload") {
     build_device_offload(*w);
   } else {

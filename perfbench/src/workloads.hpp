@@ -1,9 +1,8 @@
-// The four benchmark workloads. Each is generated entirely from the run's
+// The benchmark workloads. Each is generated entirely from the run's
 // seed; the served system sees only the generated operands and requests.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -17,6 +16,11 @@ namespace pb {
 // hardware threads / 2.
 inline constexpr int kServingThreads = 2;
 
+// Plan- and conversion-cache entries a shard of the router target keeps.
+// Small enough that the traced run's pile of live new operands (two or
+// three plans and up to one representation each) overflows it.
+inline constexpr std::size_t kRouterCacheEntries = 8;
+
 // One distinct request of a workload, naming its operands by index into
 // the workload's resident sets.
 struct RequestSpec {
@@ -29,7 +33,7 @@ struct RequestSpec {
 
 struct WorkloadDef {
   std::string name;
-  Traffic traffic;
+  int window = 4;  // closed loop: requests in flight per client
   // Fixed open-loop rates, ascending. The first step is the reference
   // rate at which latency_p50_us / latency_p99_us are reported.
   std::vector<double> ladder_rps;
@@ -42,7 +46,7 @@ struct WorkloadDef {
 struct Workload {
   WorkloadDef def;
   std::uint64_t seed = 0;
-  std::function<std::unique_ptr<Target>()> make_target;
+  mt::runtime::ServerOptions server;  // the workload's Server
   std::vector<AnyMatrix> mats;        // resident, in their registered MCF
   std::vector<AnyTensor> tensors;
   std::vector<RequestSpec> specs;     // distinct requests on resident operands
@@ -58,7 +62,13 @@ struct Workload {
   std::unique_ptr<Deployment> deploy();
 };
 
-// kernel_mix | spmv_stream | operand_churn | device_offload; null when
+// The workload's server options on a 2-shard ShardedServer (1 worker a
+// shard, caches bounded at kRouterCacheEntries): the router and cache
+// eviction paths, which the traced run drives with new operands.
+std::unique_ptr<Target> make_router_target(
+    const mt::runtime::ServerOptions& server);
+
+// kernel_mix | spmv_stream | device_offload; null when
 // the name is unknown.
 std::unique_ptr<Workload> make_workload(const std::string& name,
                                         std::uint64_t seed);
