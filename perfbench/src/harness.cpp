@@ -20,6 +20,12 @@ using mt::runtime::ShardedServer;
 
 std::int64_t now_ns() { return mt::runtime::now_ns(); }
 
+std::int64_t process_cpu_ns() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<std::int64_t>(ts.tv_sec) * 1'000'000'000 + ts.tv_nsec;
+}
+
 namespace {
 
 // A future that has not resolved after this long counts as failed, so a
@@ -334,6 +340,7 @@ Local make_local(const Deployment& d) {
 
 ClosedResult closed_loop(Deployment& d, int window, double seconds,
                          int slices, Observed& obs, const TraceCtx& tc) {
+  const auto cpu0 = process_cpu_ns();
   const auto t0 = now_ns();
   const auto end = t0 + static_cast<std::int64_t>(seconds * 1e9);
   std::vector<std::vector<std::int64_t>> done_at(
@@ -366,8 +373,13 @@ ClosedResult closed_loop(Deployment& d, int window, double seconds,
   std::vector<std::thread> threads;
   for (int g = 0; g < kGenerators; ++g) threads.emplace_back(client, g);
   for (auto& th : threads) th.join();
+  const auto cpu = process_cpu_ns() - cpu0;
 
   ClosedResult res;
+  std::size_t completed = 0;
+  for (const auto& v : done_at) completed += v.size();
+  res.cpu_us_per_request = static_cast<double>(cpu) / 1e3 /
+                           static_cast<double>(std::max<std::size_t>(completed, 1));
   const double slice_ns = static_cast<double>(end - t0) / slices;
   std::vector<std::int64_t> counts(static_cast<std::size_t>(slices), 0);
   for (const auto& v : done_at) {
@@ -409,6 +421,7 @@ OpenResult open_loop_step(Deployment& d, double rate_rps, double seconds,
   OpenResult res;
   res.step.rate_rps = rate_rps;
   const auto t0 = now_ns() + 2'000'000;
+  const auto cpu0 = process_cpu_ns();
   Local sender_loc = make_local(d);
   Local reaper_loc = make_local(d);
 
@@ -447,10 +460,10 @@ OpenResult open_loop_step(Deployment& d, double rate_rps, double seconds,
 
   // The reaper stamps each request when its own future is seen ready, not
   // in send order, so a fast request finishing behind a slow one is not
-  // charged for it. It blocks on the oldest outstanding future for at
-  // most kPoll, then checks all the others: a request that completes out
-  // of order is stamped within about one poll interval, one that
-  // completes in order exactly.
+  // charged for it. With one request outstanding it blocks on it; with
+  // more it blocks on the oldest for at most kPoll, then checks all the
+  // others: a request that completes out of order is stamped within about
+  // one poll interval, one that completes in order exactly.
   std::thread reaper([&] {
     prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
     constexpr auto kPoll = std::chrono::microseconds(20);
@@ -479,7 +492,11 @@ OpenResult open_loop_step(Deployment& d, double rate_rps, double seconds,
         sent.wait(v, std::memory_order_acquire);
         continue;
       }
-      slots[out.front()].req.fut.wait_for(kPoll);
+      if (out.size() == 1 && sent.load(std::memory_order_acquire) == v) {
+        slots[out.front()].req.fut.wait_for(kFutureTimeout);
+      } else {
+        slots[out.front()].req.fut.wait_for(kPoll);
+      }
       const auto now = now_ns();
       std::size_t keep = 0;
       for (const auto j : out) {
@@ -500,6 +517,9 @@ OpenResult open_loop_step(Deployment& d, double rate_rps, double seconds,
   reaper.join();
   res.step.aborted = sent.load() == kAborted;
   res.step.attempted = res.step.aborted ? sent_before_abort : n;
+  res.cpu_us_per_request =
+      static_cast<double>(process_cpu_ns() - cpu0) / 1e3 /
+      static_cast<double>(std::max<std::size_t>(res.step.attempted, 1));
   res.step.failed =
       res.step.attempted - std::min(res.step.attempted,
                                     res.step.latencies_us.size());
@@ -508,9 +528,9 @@ OpenResult open_loop_step(Deployment& d, double rate_rps, double seconds,
   return res;
 }
 
-std::vector<double> cold_probe(Deployment& d, int count, Observed& obs,
-                               const TraceCtx& tc, int live) {
-  std::vector<double> out;
+ColdResult cold_probe(Deployment& d, int count, Observed& obs,
+                      const TraceCtx& tc, int live) {
+  ColdResult out;
   if (d.cold == nullptr || d.cold->empty()) return out;
   Local loc = make_local(d);
   std::deque<MatrixHandle> registered;
@@ -521,9 +541,14 @@ std::vector<double> cold_probe(Deployment& d, int count, Observed& obs,
   };
   for (int i = 0; i < count; ++i) {
     const ColdOperand& op = (*d.cold)[static_cast<std::size_t>(i) % d.cold->size()];
-    Arrival a = arrive(d, op, op.source, obs, tc, loc);
+    AnyMatrix copy = op.source;
+    const auto cpu0 = process_cpu_ns();
+    Arrival a = arrive(d, op, std::move(copy), obs, tc, loc);
     const double first_us = collect(a, obs, tc, loc);
-    if (first_us >= 0) out.push_back(first_us);
+    if (first_us >= 0) {
+      out.first_us.push_back(first_us);
+      out.cpu_us.push_back(static_cast<double>(process_cpu_ns() - cpu0) / 1e3);
+    }
     registered.push_back(a.h);
     if (static_cast<int>(registered.size()) >= live) evict_oldest();
   }

@@ -31,6 +31,9 @@ using mt::runtime::Response;
 
 std::int64_t now_ns();
 
+// CPU time consumed by every thread of this process.
+std::int64_t process_cpu_ns();
+
 // Lower-case kernel names used in metric names.
 inline const char* kernel_key(Kernel k) {
   switch (k) {
@@ -144,10 +147,8 @@ struct Deployment {
   std::int64_t warm_failed = 0;
 };
 
-// Closed-loop client threads. With the servers' 2 serving threads this
-// keeps generator threads plus serving workers within the 4 hardware
-// threads the benchmark is sized on.
-inline constexpr int kGenerators = 2;
+// Closed-loop client threads (see kServingThreads for the sizing).
+inline constexpr int kGenerators = 1;
 
 // Every response's shape is checked; every k-th response's values too.
 inline constexpr int kValueCheckEvery = 8;
@@ -160,6 +161,9 @@ struct TraceCtx {
 struct ClosedResult {
   double throughput_rps = 0.0;  // median over equal time slices
   std::vector<double> slice_rps;
+  // CPU time of the whole process (server and client threads) per
+  // completed request.
+  double cpu_us_per_request = 0.0;
 };
 
 // `window` requests in flight per client.
@@ -169,17 +173,24 @@ ClosedResult closed_loop(Deployment& d, int window, double seconds,
 struct OpenResult {
   LadderStep step;
   std::vector<double> send_lag_us;
+  double cpu_us_per_request = 0.0;  // process CPU per request sent
 };
 
 OpenResult open_loop_step(Deployment& d, double rate_rps, double seconds,
                           Observed& obs, const TraceCtx& tc);
 
+struct ColdResult {
+  std::vector<double> first_us;  // register_matrix -> first response ready
+  // Process CPU from register_matrix to the operand's last response.
+  std::vector<double> cpu_us;
+};
+
 // Sequential register -> requests -> evict cycles of `count` new operands
-// on an otherwise idle target; returns first-result latencies. Each
-// operand stays registered until `live` newer ones are, so with live > 1
-// their plans and representations pile up in the caches.
-std::vector<double> cold_probe(Deployment& d, int count, Observed& obs,
-                               const TraceCtx& tc, int live = 1);
+// on an otherwise idle target. Each operand stays registered until `live`
+// newer ones are, so with live > 1 their plans and representations pile
+// up in the caches.
+ColdResult cold_probe(Deployment& d, int count, Observed& obs,
+                      const TraceCtx& tc, int live = 1);
 
 // Checks a response against its expectation; values only when asked.
 bool response_ok(const Expect& e, const Response& r, bool compare_values);

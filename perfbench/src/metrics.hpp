@@ -53,32 +53,6 @@ inline double median(std::vector<double> v) {
   return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
 }
 
-// The q-percentile of a typical window: each round's samples, in
-// completion order, are cut into consecutive windows of `window` samples
-// (a shorter remainder is dropped), and the median of the windows'
-// q-percentiles is reported. Host noise comes in bursts of milliseconds
-// to seconds; a burst lifts the percentile of the few windows it covers
-// and leaves the median of all of them alone. `samples` counts every
-// sample; `beyond` is the count beyond the percentile in one window.
-inline Percentile windowed_percentile(
-    const std::vector<std::vector<double>>& rounds, double q,
-    std::size_t window) {
-  Percentile out;
-  std::vector<double> per_window;
-  for (const auto& r : rounds) {
-    out.samples += r.size();
-    for (std::size_t i = 0; window > 0 && i + window <= r.size(); i += window) {
-      const auto p = percentile({r.begin() + static_cast<std::ptrdiff_t>(i),
-                                 r.begin() + static_cast<std::ptrdiff_t>(i + window)},
-                                q);
-      per_window.push_back(p.value);
-      out.beyond = p.beyond;
-    }
-  }
-  out.value = median(per_window);
-  return out;
-}
-
 // --- Spans ---
 //
 // One timed interval of the benchmark's own calls. Spans of one request

@@ -236,20 +236,20 @@ WorkloadDef def_for(const std::string& name) {
   WorkloadDef d;
   d.name = name;
   if (name == "kernel_mix") {
-    d.window = 2;
-    d.ladder_rps = {2000, 5000, 6000, 7000, 8000, 9000, 10'000, 11'000, 12'000, 13'000, 14'000};
-    d.slo_p99_us = 50'000;
-    d.server = "Server: 2 workers, caches on, batch window 8";
+    d.window = 4;
+    d.ladder_rps = {1000, 1500, 2000, 2250, 2500, 2750, 3000, 3250, 3500, 3750, 4000, 4500};
+    d.slo_p99_us = 100'000;
+    d.server = "Server: 1 worker, caches on, batch window 8";
   } else if (name == "spmv_stream") {
-    d.window = 8;
-    d.ladder_rps = {8'000, 16'000, 22'000, 28'000, 34'000, 40'000, 46'000, 52'000};
+    d.window = 32;
+    d.ladder_rps = {2500, 4000, 6000, 8000, 10'000, 12'000, 14'000, 16'000, 18'000, 20'000, 22'000};
     d.slo_p99_us = 50'000;
-    d.server = "Server: 2 workers, queue 256, batch window 8";
+    d.server = "Server: 1 worker, queue 256, batch window 8";
   } else if (name == "device_offload") {
-    d.window = 8;
-    d.ladder_rps = {4'000, 8'500, 10'000, 11'500, 13'000, 14'500, 16'000, 17'500, 19'000};
+    d.window = 32;
+    d.ladder_rps = {1500, 3000, 4500, 6000, 7500, 9000, 10'500, 12'000, 13'500, 15'000, 16'500};
     d.slo_p99_us = 50'000;
-    d.server = "Server: 2 workers, mint backend, kAuto, async ring (2 ring workers), simulated latency";
+    d.server = "Server: 1 worker, mint backend, kAuto, async ring (2 ring workers), simulated latency";
   }
   return d;
 }
@@ -321,7 +321,7 @@ std::unique_ptr<Deployment> Workload::deploy() {
 
 std::unique_ptr<Target> make_router_target(const ServerOptions& server) {
   mt::runtime::ShardedServerOptions o;
-  o.num_shards = kServingThreads;
+  o.num_shards = kRouterShards;
   o.shard = server;
   o.shard.num_workers = 1;
   o.shard.caches.plan_limits.max_entries = kRouterCacheEntries;

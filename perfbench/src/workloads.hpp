@@ -11,10 +11,20 @@
 
 namespace pb {
 
-// Serving threads of every workload's server: 2 workers, or 2 shards of
-// 1 worker. The server's thread budget then sets the kernel width to
-// hardware threads / 2.
-inline constexpr int kServingThreads = 2;
+// Serving workers of every workload's Server. With the single generator
+// thread, kernel width 1 (kKernelThreads) and the process pinned to one
+// CPU, the benchmark computes on one vCPU at a time. On a shared host
+// whose cores are also given to other guests, every further thread that
+// runs at the same time is exposed to their load: two compute threads
+// there ran a third slower than one, and a 2-worker, 2-client, width-2
+// configuration moved its throughput by 3x between runs of the same code.
+inline constexpr int kServingThreads = 1;
+
+// Kernel width (mt::set_num_threads) for the whole run.
+inline constexpr int kKernelThreads = 1;
+
+// Shards of the router target, 1 worker each.
+inline constexpr int kRouterShards = 2;
 
 // Plan- and conversion-cache entries a shard of the router target keeps.
 // Small enough that the traced run's pile of live new operands (two or
@@ -62,9 +72,10 @@ struct Workload {
   std::unique_ptr<Deployment> deploy();
 };
 
-// The workload's server options on a 2-shard ShardedServer (1 worker a
-// shard, caches bounded at kRouterCacheEntries): the router and cache
-// eviction paths, which the traced run drives with new operands.
+// The workload's server options on a ShardedServer of kRouterShards
+// shards (1 worker a shard, caches bounded at kRouterCacheEntries): the
+// router and cache eviction paths, which the traced run drives with new
+// operands.
 std::unique_ptr<Target> make_router_target(
     const mt::runtime::ServerOptions& server);
 

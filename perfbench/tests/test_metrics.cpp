@@ -45,21 +45,6 @@ void test_percentiles() {
         "empty input");
   check(pb::median({4, 1, 3, 2}) == 2.5 && pb::median({3, 1, 2}) == 2,
         "median of even and odd counts");
-
-  // Windowed: rounds of 1..100 cut into windows of 20; one window of
-  // the second round is disturbed, a 10-sample remainder is dropped.
-  std::vector<std::vector<double>> rounds = {iota(100), iota(110)};
-  for (std::size_t i = 20; i < 40; ++i) rounds[1][i] += 1000;
-  auto w = pb::windowed_percentile(rounds, 0.5, 20);
-  // Window p50s: 10 30 50 70 90 and 10 1030 50 70 90; median (50+70)/2.
-  check(w.value == 60 && w.samples == 210 && w.beyond == 10,
-        "median of the windows' p50s; a disturbed window does not move it");
-  w = pb::windowed_percentile(rounds, 0.9, 20);
-  check(w.value == 68 && w.beyond == 2 && !w.supported(),
-        "p90 of each window, supported only with ten beyond in a window");
-  check(pb::windowed_percentile({iota(5)}, 0.5, 20).value == 0,
-        "rounds shorter than a window give no windows");
-  check(pb::windowed_percentile({}, 0.5, 20).samples == 0, "no rounds");
 }
 
 void test_self_time() {
