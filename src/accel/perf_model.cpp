@@ -43,162 +43,199 @@ void finalize(PerfResult& r, const AccelConfig& cfg, const EnergyParams& e,
 
 }  // namespace
 
-PerfResult model_matmul(const CooMatrix& a, const CooMatrix& b, Format acf_a,
-                        Format acf_b, const AccelConfig& cfg,
-                        const EnergyParams& energy) {
-  cfg.validate();
-  MT_REQUIRE(a.cols() == b.rows(), "inner dimensions must agree");
-  MT_REQUIRE(is_stream_acf(acf_a), "A must use a streaming ACF");
-  MT_REQUIRE(is_stationary_acf(acf_b), "B must use a stationary ACF");
-  MT_REQUIRE(a.is_row_major_sorted(), "A must be row-major sorted COO");
-
-  const index_t k = a.cols();
-  const index_t n = b.cols();
-  const index_t slots = cfg.bus_slots();
-  const index_t buf = cfg.buffer_elems();
-  const index_t cap = payload_per_packet(acf_a, cfg);
-
-  // Streamed-element multiplicity per K coordinate: how many A elements
-  // with column k cross the bus (nnz of A's column for compressed streams,
-  // one per row for Dense).
-  std::vector<std::int64_t> a_col_nnz(static_cast<std::size_t>(k), 0);
-  for (std::int64_t i = 0; i < a.nnz(); ++i) {
-    ++a_col_nnz[static_cast<std::size_t>(a.col_ids()[i])];
+std::vector<PassStream> stream_passes(const CooMatrix& a, index_t kt,
+                                      index_t cap) {
+  MT_REQUIRE(kt > 0 && cap > 0, "positive pass height and packet payload");
+  std::vector<PassStream> out(static_cast<std::size_t>(ceil_div(a.cols(), kt)));
+  const auto& rows = a.row_ids();
+  const auto& cols = a.col_ids();
+  const std::int64_t nnz = a.nnz();
+  // A segment is one row's nonzeros inside one pass. Row-major order keeps
+  // each segment contiguous and the pass index non-decreasing along a row,
+  // so the pass is recomputed only where a segment starts, not per nonzero.
+  std::int64_t seg_begin = 0;
+  index_t row = -1, col = -1;
+  std::size_t pass = 0;
+  index_t pass_end = 0;
+  const auto close_segment = [&](std::int64_t seg_end) {
+    PassStream& ps = out[pass];
+    const std::int64_t run = seg_end - seg_begin;
+    ps.elems += run;
+    ps.cycles += ceil_div(run, cap);
+    ++ps.rows_touched;
+  };
+  for (std::int64_t i = 0; i < nnz; ++i) {
+    const index_t r = rows[static_cast<std::size_t>(i)];
+    const index_t c = cols[static_cast<std::size_t>(i)];
+    MT_REQUIRE(r > row || (r == row && c > col),
+               "A must be row-major sorted COO");
+    if (r == row && c < pass_end) {
+      col = c;
+      continue;
+    }
+    if (i > 0) close_segment(i);
+    seg_begin = i;
+    row = r;
+    col = c;
+    const index_t p = c / kt;
+    pass = static_cast<std::size_t>(p);
+    pass_end = (p + 1) * kt;
   }
+  if (nnz > 0) close_segment(nnz);
+  return out;
+}
 
+std::vector<TileMatch> match_passes(const CooMatrix& a, const CooMatrix& b,
+                                    index_t kt, index_t num_pes) {
+  MT_REQUIRE(kt > 0 && num_pes > 0, "positive pass height and tile width");
+  MT_REQUIRE(a.cols() == b.rows(), "inner dimensions must agree");
+  if (!b.is_row_major_sorted()) {
+    CooMatrix sorted = b;
+    sorted.sort_row_major();
+    return match_passes(a, sorted, kt, num_pes);
+  }
+  std::vector<std::int64_t> a_col_nnz(static_cast<std::size_t>(a.cols()), 0);
+  for (index_t c : a.col_ids()) ++a_col_nnz[static_cast<std::size_t>(c)];
+  const std::int64_t n_tiles = ceil_div(b.cols(), num_pes);
+  std::vector<TileMatch> out(
+      static_cast<std::size_t>(ceil_div(b.rows(), kt) * n_tiles));
+  // Row-major B holds each pass's rows contiguously: sum per column over
+  // one pass, fold the touched columns into their tiles, and reset them.
+  std::vector<std::int64_t> col_useful(static_cast<std::size_t>(b.cols()), 0);
+  std::vector<std::int64_t> col_nnz(static_cast<std::size_t>(b.cols()), 0);
+  std::vector<index_t> touched;
+  std::int64_t pass = 0;
+  const auto flush = [&] {
+    for (index_t j : touched) {
+      const auto sj = static_cast<std::size_t>(j);
+      TileMatch& m = out[static_cast<std::size_t>(pass * n_tiles + j / num_pes)];
+      m.nnz += col_nnz[sj];
+      m.useful += col_useful[sj];
+      m.max_col_useful = std::max(m.max_col_useful, col_useful[sj]);
+      m.max_col_nnz = std::max(m.max_col_nnz, col_nnz[sj]);
+      col_useful[sj] = 0;
+      col_nnz[sj] = 0;
+    }
+    touched.clear();
+  };
+  index_t pass_end = kt;
+  for (std::int64_t i = 0; i < b.nnz(); ++i) {
+    const index_t kk = b.row_ids()[static_cast<std::size_t>(i)];
+    const index_t j = b.col_ids()[static_cast<std::size_t>(i)];
+    if (kk >= pass_end) {
+      flush();
+      pass = kk / kt;
+      pass_end = (pass + 1) * kt;
+    }
+    const auto sj = static_cast<std::size_t>(j);
+    if (col_nnz[sj]++ == 0) touched.push_back(j);
+    col_useful[sj] += a_col_nnz[static_cast<std::size_t>(kk)];
+  }
+  flush();
+  return out;
+}
+
+index_t matmul_pass_height(index_t k, index_t n, std::int64_t b_nnz,
+                           Format acf_b, const AccelConfig& cfg) {
   // K-pass height from buffer occupancy (paper §IV: "a buffer entry can be
   // treated as either data or metadata"). Dense columns need one element
   // per K row; CSC columns need two buffer elements per nonzero, so the
   // pass height scales with 1/density of B.
-  index_t kt;
-  if (acf_b == Format::kDense) {
-    kt = std::min<index_t>(k, buf);
-  } else {
-    const double density_b =
-        static_cast<double>(b.nnz()) /
-        (static_cast<double>(k) * std::max<double>(1.0, static_cast<double>(n)));
-    const auto cap_pairs = static_cast<double>(buf / 2);
-    kt = density_b <= 0.0 ? k : static_cast<index_t>(cap_pairs / density_b);
-    kt = std::clamp<index_t>(kt, 1, k);
+  const index_t buf = cfg.buffer_elems();
+  if (acf_b == Format::kDense) return std::min<index_t>(k, buf);
+  const double density_b =
+      static_cast<double>(b_nnz) /
+      (static_cast<double>(k) * std::max<double>(1.0, static_cast<double>(n)));
+  const auto cap_pairs = static_cast<double>(buf / 2);
+  const index_t kt =
+      density_b <= 0.0 ? k : static_cast<index_t>(cap_pairs / density_b);
+  return std::clamp<index_t>(kt, 1, k);
+}
+
+index_t dense_b_pass_height(index_t k, Format acf_b, const AccelConfig& cfg) {
+  // A fully dense column needs one buffer element per row under Dense ACF
+  // and a (row_id, value) pair per row under CSC (every row is a nonzero).
+  const index_t elems_per_row = acf_b == Format::kDense ? 1 : 2;
+  return std::clamp<index_t>(cfg.buffer_elems() / elems_per_row, 1, k);
+}
+
+namespace {
+
+// Bus cycles, streamed elements and drained rows of one pass of A.
+struct PassCost {
+  std::int64_t cycles, streamed, rows_touched;
+};
+
+PassCost pass_cost(const PassStream& ps, index_t m, index_t k0, index_t k1,
+                   Format acf_a, index_t cap) {
+  if (acf_a == Format::kDense) {
+    return {m * ceil_div(k1 - k0, cap), m * (k1 - k0), m};
   }
+  if (acf_a == Format::kCSR) return {ps.cycles, ps.elems, ps.rows_touched};
+  // COO: triplets may mix rows freely.
+  return {ceil_div(ps.elems, cap), ps.elems, ps.rows_touched};
+}
+
+void check_acfs(Format acf_a, Format acf_b) {
+  MT_REQUIRE(is_stream_acf(acf_a), "A must use a streaming ACF");
+  MT_REQUIRE(is_stationary_acf(acf_b), "B must use a stationary ACF");
+}
+
+}  // namespace
+
+PerfResult price_matmul(index_t m, index_t k, index_t n, index_t kt,
+                        const std::vector<PassStream>& passes,
+                        const std::vector<TileMatch>& matches, Format acf_a,
+                        Format acf_b, const AccelConfig& cfg,
+                        const EnergyParams& energy) {
+  cfg.validate();
+  check_acfs(acf_a, acf_b);
+  const index_t slots = cfg.bus_slots();
+  const index_t cap = payload_per_packet(acf_a, cfg);
 
   PerfResult res;
   res.n_tiles = ceil_div(n, cfg.num_pes);
   res.k_passes = ceil_div(k, kt);
-
-  // Bucket A's nonzeros by K pass, preserving row-major order within each
-  // bucket, so each pass is priced in O(bucket size) instead of O(nnz).
-  std::vector<std::vector<index_t>> a_rows_by_pass(
-      static_cast<std::size_t>(res.k_passes));
-  for (std::int64_t i = 0; i < a.nnz(); ++i) {
-    a_rows_by_pass[static_cast<std::size_t>(a.col_ids()[i] / kt)].push_back(
-        a.row_ids()[i]);
-  }
-  // Per-pass streaming stats for compressed streams.
-  struct PassStream {
-    std::int64_t cycles = 0;        // CSR packet count (row-break rule)
-    std::int64_t elems = 0;         // nonzeros streamed
-    std::int64_t rows_touched = 0;  // distinct rows
-  };
-  std::vector<PassStream> pass_stream(static_cast<std::size_t>(res.k_passes));
-  for (index_t p = 0; p < res.k_passes; ++p) {
-    auto& ps = pass_stream[static_cast<std::size_t>(p)];
-    const auto& rows = a_rows_by_pass[static_cast<std::size_t>(p)];
-    ps.elems = static_cast<std::int64_t>(rows.size());
-    std::int64_t run = 0;
-    index_t run_row = -1;
-    for (index_t r : rows) {
-      if (r != run_row) {
-        ps.cycles += ceil_div(run, cap);
-        run = 0;
-        run_row = r;
-        ++ps.rows_touched;
-      }
-      ++run;
-    }
-    ps.cycles += ceil_div(run, cap);
-  }
-
-  // Bucket B's nonzeros by K pass; column-major order is preserved so the
-  // per-PE maximum falls out of one sweep per (tile, pass).
-  std::vector<std::vector<std::pair<index_t, index_t>>> b_by_pass(
-      static_cast<std::size_t>(res.k_passes));
-  {
-    CooMatrix bc = b;
-    bc.sort_col_major();
-    for (std::int64_t i = 0; i < bc.nnz(); ++i) {
-      b_by_pass[static_cast<std::size_t>(bc.row_ids()[i] / kt)].emplace_back(
-          bc.col_ids()[i], bc.row_ids()[i]);
-    }
-  }
+  MT_REQUIRE(static_cast<std::int64_t>(passes.size()) == res.k_passes &&
+                 static_cast<std::int64_t>(matches.size()) ==
+                     res.k_passes * res.n_tiles,
+             "sweeps must be taken at this pass height and tile width");
 
   std::int64_t loaded_total = 0;
   std::int64_t drained_total = 0;
-
   for (index_t t = 0; t < res.n_tiles; ++t) {
     const index_t j0 = t * cfg.num_pes;
     const index_t j1 = std::min(j0 + cfg.num_pes, n);
     for (index_t p = 0; p < res.k_passes; ++p) {
       const index_t k0 = p * kt;
       const index_t k1 = std::min(k0 + kt, k);
-      const auto& ps = pass_stream[static_cast<std::size_t>(p)];
+      const PassCost s = pass_cost(passes[static_cast<std::size_t>(p)], m, k0,
+                                   k1, acf_a, cap);
+      res.phases.stream_cycles += s.cycles;
+      res.streamed_elems += s.streamed;
 
-      // --- Stream ---
-      std::int64_t sc;
-      std::int64_t streamed;
-      std::int64_t rows_touched;
-      if (acf_a == Format::kDense) {
-        sc = a.rows() * ceil_div(k1 - k0, cap);
-        streamed = a.rows() * (k1 - k0);
-        rows_touched = a.rows();
-      } else if (acf_a == Format::kCSR) {
-        sc = ps.cycles;
-        streamed = ps.elems;
-        rows_touched = ps.rows_touched;
-      } else {  // COO: triplets may mix rows freely
-        sc = ceil_div(ps.elems, cap);
-        streamed = ps.elems;
-        rows_touched = ps.rows_touched;
-      }
-      res.phases.stream_cycles += sc;
-      res.streamed_elems += streamed;
-
-      // --- Load + match counting over B's nonzeros in this tile/pass ---
-      std::int64_t load_elems = 0;
-      std::int64_t max_pe_performed = 0;
-      std::int64_t tile_performed = 0;
-      std::int64_t tile_useful = 0;
-      {
-        std::int64_t cur_pe_perf = 0;
-        index_t cur_col = -1;
-        for (const auto& [j, kk] : b_by_pass[static_cast<std::size_t>(p)]) {
-          if (j < j0 || j >= j1) continue;
-          if (j != cur_col) {
-            max_pe_performed = std::max(max_pe_performed, cur_pe_perf);
-            cur_pe_perf = 0;
-            cur_col = j;
-          }
-          const std::int64_t useful = a_col_nnz[static_cast<std::size_t>(kk)];
-          const std::int64_t mult =
-              acf_a == Format::kDense ? a.rows() : useful;
-          if (acf_b == Format::kCSC) {
-            load_elems += 2;
-            cur_pe_perf += mult;
-            tile_performed += mult;
-          }
-          tile_useful += useful;
-        }
-        max_pe_performed = std::max(max_pe_performed, cur_pe_perf);
-      }
-      if (acf_b == Format::kDense) {
+      // --- Load + matches over B's nonzeros in this tile/pass ---
+      const TileMatch& tm =
+          matches[static_cast<std::size_t>(p * res.n_tiles + t)];
+      std::int64_t load_elems;
+      std::int64_t max_pe_performed;
+      std::int64_t tile_performed;
+      if (acf_b == Format::kCSC) {
+        // A Dense stream MACs every row of A against each B nonzero; a
+        // compressed one only A's nonzeros in that column.
+        load_elems = 2 * tm.nnz;
+        max_pe_performed = acf_a == Format::kDense ? tm.max_col_nnz * m
+                                                   : tm.max_col_useful;
+        tile_performed = acf_a == Format::kDense ? tm.nnz * m : tm.useful;
+      } else {
         // Every PE holds the full K-range column and MACs every streamed
         // element, zeros in the buffer included.
         load_elems = (j1 - j0) * (k1 - k0);
-        max_pe_performed = streamed;
-        tile_performed = streamed * (j1 - j0);
+        max_pe_performed = s.streamed;
+        tile_performed = s.streamed * (j1 - j0);
       }
       res.performed_macs += tile_performed;
-      res.useful_macs += tile_useful;
+      res.useful_macs += tm.useful;
       loaded_total += load_elems;
       res.phases.load_cycles += ceil_div(load_elems, slots);
 
@@ -206,9 +243,9 @@ PerfResult model_matmul(const CooMatrix& a, const CooMatrix& b, Format acf_a,
           std::ceil(static_cast<double>(max_pe_performed) /
                     cfg.pe_consume_rate(acf_a, acf_b)));
       res.phases.compute_cycles += cc;
-      res.phases.overlap_cycles += std::max(sc, cc);
+      res.phases.overlap_cycles += std::max(s.cycles, cc);
 
-      const std::int64_t drained = rows_touched * (j1 - j0);
+      const std::int64_t drained = s.rows_touched * (j1 - j0);
       drained_total += drained;
       res.phases.drain_cycles += ceil_div(drained, slots);
     }
@@ -218,60 +255,23 @@ PerfResult model_matmul(const CooMatrix& a, const CooMatrix& b, Format acf_a,
   return res;
 }
 
-PerfResult model_matmul_dense_b(const CooMatrix& a, index_t n, Format acf_a,
-                                Format acf_b, const AccelConfig& cfg,
+PerfResult price_matmul_dense_b(index_t m, index_t k, index_t n, index_t kt,
+                                const std::vector<PassStream>& passes,
+                                Format acf_a, Format acf_b,
+                                const AccelConfig& cfg,
                                 const EnergyParams& energy) {
   cfg.validate();
   MT_REQUIRE(n > 0, "positive output width");
-  MT_REQUIRE(is_stream_acf(acf_a), "A must use a streaming ACF");
-  MT_REQUIRE(is_stationary_acf(acf_b), "B must use a stationary ACF");
-  MT_REQUIRE(a.is_row_major_sorted(), "A must be row-major sorted COO");
-
-  const index_t k = a.cols();
+  check_acfs(acf_a, acf_b);
   const index_t slots = cfg.bus_slots();
-  const index_t buf = cfg.buffer_elems();
   const index_t cap = payload_per_packet(acf_a, cfg);
-  // A fully dense column needs one buffer element per row under Dense ACF
-  // and a (row_id, value) pair per row under CSC (every row is a nonzero).
   const index_t elems_per_row = acf_b == Format::kDense ? 1 : 2;
-  const index_t kt = std::clamp<index_t>(buf / elems_per_row, 1, k);
 
   PerfResult res;
   res.n_tiles = ceil_div(n, cfg.num_pes);
   res.k_passes = ceil_div(k, kt);
-
-  // Per-pass stream stats of A (identical bucketing to model_matmul).
-  struct PassStream {
-    std::int64_t cycles = 0;
-    std::int64_t elems = 0;
-    std::int64_t rows_touched = 0;
-  };
-  std::vector<PassStream> pass_stream(static_cast<std::size_t>(res.k_passes));
-  {
-    std::vector<std::vector<index_t>> rows_by_pass(
-        static_cast<std::size_t>(res.k_passes));
-    for (std::int64_t i = 0; i < a.nnz(); ++i) {
-      rows_by_pass[static_cast<std::size_t>(a.col_ids()[i] / kt)].push_back(
-          a.row_ids()[i]);
-    }
-    for (index_t p = 0; p < res.k_passes; ++p) {
-      auto& ps = pass_stream[static_cast<std::size_t>(p)];
-      std::int64_t run = 0;
-      index_t run_row = -1;
-      for (index_t r : rows_by_pass[static_cast<std::size_t>(p)]) {
-        if (r != run_row) {
-          ps.cycles += ceil_div(run, cap);
-          run = 0;
-          run_row = r;
-          ++ps.rows_touched;
-        }
-        ++run;
-      }
-      ps.cycles += ceil_div(run, cap);
-      ps.elems =
-          static_cast<std::int64_t>(rows_by_pass[static_cast<std::size_t>(p)].size());
-    }
-  }
+  MT_REQUIRE(static_cast<std::int64_t>(passes.size()) == res.k_passes,
+             "sweep must be taken at this pass height");
 
   std::int64_t loaded_total = 0, drained_total = 0;
   for (index_t t = 0; t < res.n_tiles; ++t) {
@@ -281,46 +281,59 @@ PerfResult model_matmul_dense_b(const CooMatrix& a, index_t n, Format acf_a,
     for (index_t p = 0; p < res.k_passes; ++p) {
       const index_t k0 = p * kt;
       const index_t k1 = std::min(k0 + kt, k);
-      const auto& ps = pass_stream[static_cast<std::size_t>(p)];
-
-      std::int64_t sc, streamed, rows_touched;
-      if (acf_a == Format::kDense) {
-        sc = a.rows() * ceil_div(k1 - k0, cap);
-        streamed = a.rows() * (k1 - k0);
-        rows_touched = a.rows();
-      } else if (acf_a == Format::kCSR) {
-        sc = ps.cycles;
-        streamed = ps.elems;
-        rows_touched = ps.rows_touched;
-      } else {
-        sc = ceil_div(ps.elems, cap);
-        streamed = ps.elems;
-        rows_touched = ps.rows_touched;
-      }
-      res.phases.stream_cycles += sc;
-      res.streamed_elems += streamed;
+      const PassStream& ps = passes[static_cast<std::size_t>(p)];
+      const PassCost s = pass_cost(ps, m, k0, k1, acf_a, cap);
+      res.phases.stream_cycles += s.cycles;
+      res.streamed_elems += s.streamed;
 
       // B fully dense: every streamed element matches in every PE; useful
       // equals performed for compressed streams (A's zeros never ship).
       const std::int64_t load_elems = width * (k1 - k0) * elems_per_row;
       loaded_total += load_elems;
       res.phases.load_cycles += ceil_div(load_elems, slots);
-      res.performed_macs += streamed * width;
+      res.performed_macs += s.streamed * width;
       res.useful_macs += ps.elems * width;
 
       const std::int64_t cc = static_cast<std::int64_t>(
-          std::ceil(static_cast<double>(streamed) /
+          std::ceil(static_cast<double>(s.streamed) /
                     cfg.pe_consume_rate(acf_a, acf_b)));
       res.phases.compute_cycles += cc;
-      res.phases.overlap_cycles += std::max(sc, cc);
+      res.phases.overlap_cycles += std::max(s.cycles, cc);
 
-      const std::int64_t drained = rows_touched * width;
+      const std::int64_t drained = s.rows_touched * width;
       drained_total += drained;
       res.phases.drain_cycles += ceil_div(drained, slots);
     }
   }
   finalize(res, cfg, energy, loaded_total, drained_total);
   return res;
+}
+
+PerfResult model_matmul(const CooMatrix& a, const CooMatrix& b, Format acf_a,
+                        Format acf_b, const AccelConfig& cfg,
+                        const EnergyParams& energy) {
+  cfg.validate();
+  MT_REQUIRE(a.cols() == b.rows(), "inner dimensions must agree");
+  check_acfs(acf_a, acf_b);
+  const index_t kt =
+      matmul_pass_height(a.cols(), b.cols(), b.nnz(), acf_b, cfg);
+  return price_matmul(
+      a.rows(), a.cols(), b.cols(), kt,
+      stream_passes(a, kt, payload_per_packet(Format::kCSR, cfg)),
+      match_passes(a, b, kt, cfg.num_pes), acf_a, acf_b, cfg, energy);
+}
+
+PerfResult model_matmul_dense_b(const CooMatrix& a, index_t n, Format acf_a,
+                                Format acf_b, const AccelConfig& cfg,
+                                const EnergyParams& energy) {
+  cfg.validate();
+  MT_REQUIRE(n > 0, "positive output width");
+  check_acfs(acf_a, acf_b);
+  const index_t kt = dense_b_pass_height(a.cols(), acf_b, cfg);
+  return price_matmul_dense_b(
+      a.rows(), a.cols(), n, kt,
+      stream_passes(a, kt, payload_per_packet(Format::kCSR, cfg)), acf_a,
+      acf_b, cfg, energy);
 }
 
 std::int64_t tensor_stream_cycles(const CooTensor3& x, Format acf_t,

@@ -53,17 +53,27 @@ CsrMatrix csc_to_csr(const CscMatrix& a) {
 
 CooMatrix rlc_to_coo(const RlcMatrix& a) {
   // Running linear position = prefix sum of (zero_run + 1) (Fig. 8d step
-  // 2-3); row/col recovered by dividing/modding by the K dimension
-  // (Fig. 8d step 4). Escape entries advance the position but emit nothing.
+  // 2-3); row/col recovered from it (Fig. 8d step 4) by carrying the
+  // column over, dividing only where the position crosses a row end. Escape
+  // entries advance the position but emit nothing. Positions ascend, so
+  // the COO comes out row-major without a sort.
+  const std::size_t n = a.entries().size();
   std::vector<index_t> rows, cols;
   std::vector<value_t> vals;
-  rows.reserve(a.entries().size());
-  index_t pos = -1;
+  rows.reserve(n);
+  cols.reserve(n);
+  vals.reserve(n);
+  const index_t k = a.cols();
+  index_t row = 0, col = -1;
   for (const RlcEntry& e : a.entries()) {
-    pos += static_cast<index_t>(e.zero_run) + 1;
+    col += static_cast<index_t>(e.zero_run) + 1;
+    if (col >= k) {
+      row += col / k;
+      col %= k;
+    }
     if (e.value == 0.0f) continue;
-    rows.push_back(pos / a.cols());
-    cols.push_back(pos % a.cols());
+    rows.push_back(row);
+    cols.push_back(col);
     vals.push_back(e.value);
   }
   return CooMatrix::from_entries(a.rows(), a.cols(), std::move(rows),
@@ -71,19 +81,31 @@ CooMatrix rlc_to_coo(const RlcMatrix& a) {
 }
 
 RlcMatrix coo_to_rlc(const CooMatrix& a, int run_bits) {
-  // COO is row-major sorted, so linear positions are ascending; emit runs
-  // directly without materializing the dense stream.
+  // Row-major COO gives ascending linear positions, so runs and escapes
+  // are emitted straight from the gaps between nonzeros, in O(nnz +
+  // escapes) without a dense staging buffer. Explicitly stored zeros are
+  // part of a run, exactly as the dense encoder sees them.
   MT_REQUIRE(a.is_row_major_sorted(), "COO must be row-major sorted");
-  RlcMatrix out;
-  // Encode through a dense row strip only when needed — here entries are
-  // already ordered, so build the entry list directly via from_dense on a
-  // small wrapper is wasteful for huge matrices. Construct via the public
-  // encoder on a staging dense only for small sizes is not acceptable;
-  // instead reconstruct entries manually.
-  // (RlcMatrix exposes no from_entries, so go through its encoder using a
-  // dense staging buffer; conversions of this direction are only used on
-  // test-scale data.)
-  return RlcMatrix::from_dense(a.to_dense(), run_bits);
+  MT_REQUIRE(run_bits >= 1 && run_bits <= 16, "run counter width 1..16 bits");
+  const std::int64_t max_run = (std::int64_t{1} << run_bits) - 1;
+  std::vector<RlcEntry> entries;
+  entries.reserve(static_cast<std::size_t>(a.nnz()));
+  std::int64_t next = 0;  // first linear position not yet encoded
+  for (std::size_t i = 0; i < a.values().size(); ++i) {
+    const value_t x = a.values()[i];
+    if (x == 0.0f) continue;
+    const std::int64_t pos = a.row_ids()[i] * a.cols() + a.col_ids()[i];
+    std::int64_t zeros = pos - next;
+    // An escape carries max_run zeros plus one explicit zero value.
+    while (zeros > max_run) {
+      entries.push_back({static_cast<std::uint32_t>(max_run), 0.0f});
+      zeros -= max_run + 1;
+    }
+    entries.push_back({static_cast<std::uint32_t>(zeros), x});
+    next = pos + 1;
+  }
+  // Trailing zeros are implicit: the decoder knows rows*cols.
+  return RlcMatrix::from_parts(a.rows(), a.cols(), run_bits, std::move(entries));
 }
 
 BsrMatrix csr_to_bsr(const CsrMatrix& a, index_t block_rows,

@@ -38,11 +38,19 @@ CooMatrix CooMatrix::from_entries(index_t rows, index_t cols,
   c.row_ = std::move(row_ids);
   c.col_ = std::move(col_ids);
   c.val_ = std::move(values);
+  const auto in_range = [&](std::size_t i) {
+    return c.row_[i] >= 0 && c.row_[i] < rows && c.col_[i] >= 0 &&
+           c.col_[i] < cols;
+  };
+  // Fast path: strictly row-major input (every CSR/RLC expansion and every
+  // ordered generator) is kept as is. Strictness also rules out duplicates.
+  bool sorted = true;
   for (std::size_t i = 0; i < c.val_.size(); ++i) {
-    MT_REQUIRE(c.row_[i] >= 0 && c.row_[i] < rows && c.col_[i] >= 0 &&
-                   c.col_[i] < cols,
-               "COO coordinate out of range");
+    MT_REQUIRE(in_range(i), "COO coordinate out of range");
+    sorted = sorted && (i == 0 || c.row_[i] > c.row_[i - 1] ||
+                        (c.row_[i] == c.row_[i - 1] && c.col_[i] > c.col_[i - 1]));
   }
+  if (sorted) return c;
   c.sort_row_major();
   for (std::size_t i = 1; i < c.val_.size(); ++i) {
     MT_REQUIRE(c.row_[i] != c.row_[i - 1] || c.col_[i] != c.col_[i - 1],

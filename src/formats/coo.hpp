@@ -18,8 +18,9 @@ class CooMatrix {
  public:
   CooMatrix() = default;
 
-  // Entries may arrive unsorted; they are sorted row-major and validated
-  // (in-range, no duplicates).
+  // Entries may arrive unsorted; they are validated (in-range, no
+  // duplicates) and sorted row-major. Strictly row-major input is kept as
+  // is, without a sort.
   static CooMatrix from_entries(index_t rows, index_t cols,
                                 std::vector<index_t> row_ids,
                                 std::vector<index_t> col_ids,

@@ -37,17 +37,25 @@ CscMatrix CscMatrix::from_dense(const DenseMatrix& d) {
 }
 
 CscMatrix CscMatrix::from_coo(const CooMatrix& c) {
-  CooMatrix sorted = c;
-  sorted.sort_col_major();
+  // Column histogram, prefix sum, then a scatter with a per-column write
+  // cursor (csr_to_csc's pipeline). A COO is row-major or column-major
+  // sorted, and either order leaves row ids ascending within each column.
   CscMatrix m;
-  m.rows_ = sorted.rows();
-  m.cols_ = sorted.cols();
+  m.rows_ = c.rows();
+  m.cols_ = c.cols();
   m.col_ptr_.assign(static_cast<std::size_t>(m.cols_) + 1, 0);
-  m.row_ = sorted.row_ids();
-  m.val_ = sorted.values();
-  for (index_t col : sorted.col_ids()) ++m.col_ptr_[static_cast<std::size_t>(col) + 1];
+  for (index_t col : c.col_ids()) ++m.col_ptr_[static_cast<std::size_t>(col) + 1];
   for (index_t col = 0; col < m.cols_; ++col) {
     m.col_ptr_[static_cast<std::size_t>(col) + 1] += m.col_ptr_[static_cast<std::size_t>(col)];
+  }
+  std::vector<index_t> cursor(m.col_ptr_.begin(), m.col_ptr_.end() - 1);
+  m.row_.resize(static_cast<std::size_t>(c.nnz()));
+  m.val_.resize(static_cast<std::size_t>(c.nnz()));
+  for (std::size_t i = 0; i < c.values().size(); ++i) {
+    const auto dst = static_cast<std::size_t>(
+        cursor[static_cast<std::size_t>(c.col_ids()[i])]++);
+    m.row_[dst] = c.row_ids()[i];
+    m.val_[dst] = c.values()[i];
   }
   return m;
 }
@@ -63,11 +71,27 @@ DenseMatrix CscMatrix::to_dense() const {
 }
 
 CooMatrix CscMatrix::to_coo() const {
-  std::vector<index_t> cols(val_.size());
-  for (index_t c = 0; c < cols_; ++c) {
-    for (index_t i = col_ptr_[c]; i < col_ptr_[c + 1]; ++i) cols[i] = c;
+  // Scatter straight into row-major order with a per-row write cursor (as
+  // csc_to_csr does): walking columns in order leaves columns ascending
+  // within each row, so the result needs no sort.
+  std::vector<index_t> cursor(static_cast<std::size_t>(rows_) + 1, 0);
+  for (index_t r : row_) ++cursor[static_cast<std::size_t>(r) + 1];
+  for (index_t r = 0; r < rows_; ++r) {
+    cursor[static_cast<std::size_t>(r) + 1] += cursor[static_cast<std::size_t>(r)];
   }
-  return CooMatrix::from_entries(rows_, cols_, row_, std::move(cols), val_);
+  std::vector<index_t> rows(val_.size()), cols(val_.size());
+  std::vector<value_t> vals(val_.size());
+  for (index_t c = 0; c < cols_; ++c) {
+    for (index_t i = col_ptr_[c]; i < col_ptr_[c + 1]; ++i) {
+      const auto dst = static_cast<std::size_t>(
+          cursor[static_cast<std::size_t>(row_[i])]++);
+      rows[dst] = row_[i];
+      cols[dst] = c;
+      vals[dst] = val_[i];
+    }
+  }
+  return CooMatrix::from_entries(rows_, cols_, std::move(rows), std::move(cols),
+                                 std::move(vals));
 }
 
 StorageSize CscMatrix::storage(DataType dt) const {

@@ -24,7 +24,7 @@ class CscMatrix {
                               std::vector<index_t> row_ids,
                               std::vector<value_t> values);
   static CscMatrix from_dense(const DenseMatrix& d);
-  static CscMatrix from_coo(const CooMatrix& c);  // re-sorts column-major
+  static CscMatrix from_coo(const CooMatrix& c);  // scatters column-major
 
   DenseMatrix to_dense() const;
   CooMatrix to_coo() const;  // returned row-major sorted

@@ -32,6 +32,24 @@ RlcMatrix RlcMatrix::from_dense(const DenseMatrix& d, int run_bits) {
   return m;
 }
 
+RlcMatrix RlcMatrix::from_parts(index_t rows, index_t cols, int run_bits,
+                                std::vector<RlcEntry> entries) {
+  MT_REQUIRE(rows >= 0 && cols >= 0, "non-negative dimensions");
+  MT_REQUIRE(run_bits >= 1 && run_bits <= 16, "run counter width 1..16 bits");
+  RlcMatrix m;
+  m.rows_ = rows;
+  m.cols_ = cols;
+  m.run_bits_ = run_bits;
+  std::int64_t pos = 0;
+  for (const RlcEntry& e : entries) {
+    MT_REQUIRE(e.zero_run <= m.max_run(), "zero run exceeds the run counter");
+    pos += static_cast<std::int64_t>(e.zero_run) + 1;
+  }
+  MT_REQUIRE(pos <= rows * cols, "RLC stream exceeds matrix size");
+  m.entries_ = std::move(entries);
+  return m;
+}
+
 DenseMatrix RlcMatrix::to_dense() const {
   DenseMatrix d(rows_, cols_);
   index_t pos = 0;

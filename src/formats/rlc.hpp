@@ -29,6 +29,10 @@ class RlcMatrix {
   RlcMatrix() = default;
 
   static RlcMatrix from_dense(const DenseMatrix& d, int run_bits = kRlcRunBits);
+  // Adopts an encoded entry stream; validates run widths and that the
+  // stream fits in rows*cols.
+  static RlcMatrix from_parts(index_t rows, index_t cols, int run_bits,
+                              std::vector<RlcEntry> entries);
 
   DenseMatrix to_dense() const;
 

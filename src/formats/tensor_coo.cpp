@@ -14,26 +14,40 @@ CooTensor3 CooTensor3::from_entries(index_t x, index_t y, index_t z,
                                     std::vector<index_t> ys,
                                     std::vector<index_t> zs,
                                     std::vector<value_t> values) {
+  MT_REQUIRE(x >= 0 && y >= 0 && z >= 0, "non-negative dimensions");
   MT_REQUIRE(xs.size() == ys.size() && ys.size() == zs.size() &&
                  zs.size() == values.size(),
              "parallel arrays must have equal length");
+  const auto key = [&](std::size_t i) { return std::tie(xs[i], ys[i], zs[i]); };
+  // Validate before any reordering; strictly lexicographic input (every
+  // CSF expansion and ordered generator) is kept as is, without a sort.
+  bool sorted = true;
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    MT_REQUIRE(xs[i] >= 0 && xs[i] < x && ys[i] >= 0 && ys[i] < y &&
+                   zs[i] >= 0 && zs[i] < z,
+               "tensor COO coordinate out of range");
+    sorted = sorted && (i == 0 || key(i - 1) < key(i));
+  }
   CooTensor3 t;
   t.x_ = x;
   t.y_ = y;
   t.z_ = z;
+  if (sorted) {
+    t.xi_ = std::move(xs);
+    t.yi_ = std::move(ys);
+    t.zi_ = std::move(zs);
+    t.val_ = std::move(values);
+    return t;
+  }
   std::vector<std::size_t> p(values.size());
   std::iota(p.begin(), p.end(), 0);
-  std::sort(p.begin(), p.end(), [&](std::size_t a, std::size_t b) {
-    return std::tie(xs[a], ys[a], zs[a]) < std::tie(xs[b], ys[b], zs[b]);
-  });
+  std::sort(p.begin(), p.end(),
+            [&](std::size_t a, std::size_t b) { return key(a) < key(b); });
   t.xi_.reserve(p.size());
   t.yi_.reserve(p.size());
   t.zi_.reserve(p.size());
   t.val_.reserve(p.size());
   for (std::size_t i : p) {
-    MT_REQUIRE(xs[i] >= 0 && xs[i] < x && ys[i] >= 0 && ys[i] < y &&
-                   zs[i] >= 0 && zs[i] < z,
-               "tensor COO coordinate out of range");
     t.xi_.push_back(xs[i]);
     t.yi_.push_back(ys[i]);
     t.zi_.push_back(zs[i]);

@@ -51,6 +51,103 @@ ConversionCost operand_conversion(Format mcf, Format acf, index_t rows,
   return {};
 }
 
+// One combination's cost from its terms: DRAM streams both operands in
+// their MCFs and writes O in its MCF; each operand whose MCF differs from
+// its ACF pays its conversion; the accelerator runs the chosen ACFs.
+CostBreakdown assemble_cost(std::int64_t bits_a, std::int64_t bits_b,
+                            std::int64_t bits_o, const ConversionCost& conv_a,
+                            const ConversionCost& conv_b,
+                            const PerfResult& perf,
+                            const EnergyParams& energy) {
+  CostBreakdown c;
+  c.dram_cycles = energy.dram_cycles(bits_a + bits_b + bits_o);
+  c.dram_energy_j = energy.dram_energy_j(bits_a + bits_b + bits_o);
+  c.convert_cycles = conv_a.cycles + conv_b.cycles;
+  c.convert_energy_j = conv_a.energy_j + conv_b.energy_j;
+  c.compute_cycles = perf.total_cycles();
+  c.compute_energy_j = perf.compute_energy_j;
+  return c;
+}
+
+bool admissible(const FormatSpace& space, Format mcf, Format acf) {
+  return mcf == acf ||
+         (!space.mcf_must_equal_acf && space.converter != ConverterKind::kNone);
+}
+
+// The per-operand terms of a search, priced once: storage bits per
+// candidate MCF and conversion per admissible MCF -> ACF pair.
+struct OperandTerms {
+  std::vector<std::int64_t> bits;    // [mcf]
+  std::vector<ConversionCost> conv;  // [mcf * n_acf + acf]
+  std::size_t n_acf = 0;
+
+  const ConversionCost& conversion(std::size_t mcf, std::size_t acf) const {
+    return conv[mcf * n_acf + acf];
+  }
+};
+
+OperandTerms operand_terms(const std::vector<Format>& mcfs,
+                           const std::vector<Format>& acfs,
+                           const FormatSpace& space, index_t rows,
+                           index_t cols, std::int64_t nnz, DataType dt,
+                           const EnergyParams& energy) {
+  OperandTerms t;
+  t.n_acf = acfs.size();
+  t.conv.resize(mcfs.size() * acfs.size());
+  for (std::size_t i = 0; i < mcfs.size(); ++i) {
+    t.bits.push_back(
+        expected_matrix_storage(mcfs[i], rows, cols, nnz, dt).total_bits());
+    for (std::size_t j = 0; j < acfs.size(); ++j) {
+      if (admissible(space, mcfs[i], acfs[j])) {
+        t.conv[i * t.n_acf + j] = operand_conversion(
+            mcfs[i], acfs[j], rows, cols, nnz, dt, space.converter, energy);
+      }
+    }
+  }
+  return t;
+}
+
+// The EDP-minimal admissible combination of `space`. `perf_of(acf_a,
+// acf_b)` prices the accelerator run of one ACF pair; it is called once
+// per pair, and ties keep the first combination in loop order.
+template <class PerfOf>
+SageChoice search_matmul(const FormatSpace& space, const OperandTerms& ta,
+                         const OperandTerms& tb, std::int64_t bits_o,
+                         Format mcf_o, const EnergyParams& energy,
+                         PerfOf&& perf_of) {
+  SageChoice best;
+  best.edp = std::numeric_limits<double>::infinity();
+  for (std::size_t ia = 0; ia < space.acf_a.size(); ++ia) {
+    for (std::size_t ib = 0; ib < space.acf_b.size(); ++ib) {
+      const Format acf_a = space.acf_a[ia];
+      const Format acf_b = space.acf_b[ib];
+      const PerfResult perf = perf_of(acf_a, acf_b);
+      for (std::size_t ma = 0; ma < space.mcf_a.size(); ++ma) {
+        if (!admissible(space, space.mcf_a[ma], acf_a)) continue;
+        for (std::size_t mb = 0; mb < space.mcf_b.size(); ++mb) {
+          if (!admissible(space, space.mcf_b[mb], acf_b)) continue;
+          const CostBreakdown c = assemble_cost(
+              ta.bits[ma], tb.bits[mb], bits_o, ta.conversion(ma, ia),
+              tb.conversion(mb, ib), perf, energy);
+          const double e = c.edp(energy);
+          if (e < best.edp) {
+            best = {space.mcf_a[ma], space.mcf_b[mb], acf_a, acf_b, mcf_o,
+                    c, e, perf};
+          }
+        }
+      }
+    }
+  }
+  MT_ENSURE(std::isfinite(best.edp), "no admissible format combination");
+  return best;
+}
+
+void check_space(const FormatSpace& space) {
+  MT_REQUIRE(!space.mcf_a.empty() && !space.mcf_b.empty() &&
+                 !space.acf_a.empty() && !space.acf_b.empty(),
+             "format space must be non-empty");
+}
+
 }  // namespace
 
 FormatSpace FormatSpace::full() {
@@ -107,101 +204,72 @@ CostBreakdown price_matmul_combination(const CooMatrix& a, const CooMatrix& b,
                                        const AccelConfig& cfg,
                                        const EnergyParams& energy) {
   const DataType dt = cfg.dtype;
-  CostBreakdown c;
-
-  // --- DRAM: stream both operands in their MCF, write O in its MCF ---
-  const auto bits_a =
-      expected_matrix_storage(mcf_a, a.rows(), a.cols(), a.nnz(), dt).total_bits();
-  const auto bits_b =
-      expected_matrix_storage(mcf_b, b.rows(), b.cols(), b.nnz(), dt).total_bits();
   std::int64_t nnz_o = 0;
   choose_output_mcf(a, b, dt, &nnz_o);
-  const auto bits_o =
-      expected_matrix_storage(mcf_o, a.rows(), b.cols(), nnz_o, dt).total_bits();
-  c.dram_cycles = energy.dram_cycles(bits_a + bits_b + bits_o);
-  c.dram_energy_j = energy.dram_energy_j(bits_a + bits_b + bits_o);
-
-  // --- Conversion: each operand whose MCF differs from its ACF ---
-  const auto conv_a = operand_conversion(mcf_a, acf_a, a.rows(), a.cols(),
-                                         a.nnz(), dt, converter, energy);
-  const auto conv_b = operand_conversion(mcf_b, acf_b, b.rows(), b.cols(),
-                                         b.nnz(), dt, converter, energy);
-  c.convert_cycles = conv_a.cycles + conv_b.cycles;
-  c.convert_energy_j = conv_a.energy_j + conv_b.energy_j;
-
-  // --- Compute: the accelerator running the chosen ACFs ---
-  const auto perf = model_matmul(a, b, acf_a, acf_b, cfg, energy);
-  c.compute_cycles = perf.total_cycles();
-  c.compute_energy_j = perf.compute_energy_j;
-  return c;
+  return assemble_cost(
+      expected_matrix_storage(mcf_a, a.rows(), a.cols(), a.nnz(), dt)
+          .total_bits(),
+      expected_matrix_storage(mcf_b, b.rows(), b.cols(), b.nnz(), dt)
+          .total_bits(),
+      expected_matrix_storage(mcf_o, a.rows(), b.cols(), nnz_o, dt)
+          .total_bits(),
+      operand_conversion(mcf_a, acf_a, a.rows(), a.cols(), a.nnz(), dt,
+                         converter, energy),
+      operand_conversion(mcf_b, acf_b, b.rows(), b.cols(), b.nnz(), dt,
+                         converter, energy),
+      model_matmul(a, b, acf_a, acf_b, cfg, energy), energy);
 }
 
 SageChoice sage_select_matmul(const CooMatrix& a, const CooMatrix& b,
                               const AccelConfig& cfg,
                               const EnergyParams& energy,
                               const FormatSpace& space) {
-  MT_REQUIRE(!space.mcf_a.empty() && !space.mcf_b.empty() &&
-                 !space.acf_a.empty() && !space.acf_b.empty(),
-             "format space must be non-empty");
-  const Format mcf_o = choose_output_mcf(a, b, cfg.dtype);
+  check_space(space);
+  MT_REQUIRE(a.cols() == b.rows(), "inner dimensions must agree");
+  const DataType dt = cfg.dtype;
+  std::int64_t nnz_o = 0;
+  const Format mcf_o = choose_output_mcf(a, b, dt, &nnz_o);
+  const auto bits_o =
+      expected_matrix_storage(mcf_o, a.rows(), b.cols(), nnz_o, dt).total_bits();
+  const auto ta = operand_terms(space.mcf_a, space.acf_a, space, a.rows(),
+                                a.cols(), a.nnz(), dt, energy);
+  const auto tb = operand_terms(space.mcf_b, space.acf_b, space, b.rows(),
+                                b.cols(), b.nnz(), dt, energy);
 
-  SageChoice best;
-  best.edp = std::numeric_limits<double>::infinity();
-  for (Format acf_a : space.acf_a) {
-    for (Format acf_b : space.acf_b) {
-      const auto perf = model_matmul(a, b, acf_a, acf_b, cfg, energy);
-      for (Format mcf_a : space.mcf_a) {
-        if (space.mcf_must_equal_acf && mcf_a != acf_a) continue;
-        if (space.converter == ConverterKind::kNone && mcf_a != acf_a) continue;
-        for (Format mcf_b : space.mcf_b) {
-          if (space.mcf_must_equal_acf && mcf_b != acf_b) continue;
-          if (space.converter == ConverterKind::kNone && mcf_b != acf_b) continue;
-          CostBreakdown c;
-          const DataType dt = cfg.dtype;
-          const auto bits_a = expected_matrix_storage(mcf_a, a.rows(), a.cols(),
-                                                      a.nnz(), dt).total_bits();
-          const auto bits_b = expected_matrix_storage(mcf_b, b.rows(), b.cols(),
-                                                      b.nnz(), dt).total_bits();
-          std::int64_t nnz_o = 0;
-          choose_output_mcf(a, b, dt, &nnz_o);
-          const auto bits_o = expected_matrix_storage(mcf_o, a.rows(), b.cols(),
-                                                      nnz_o, dt).total_bits();
-          c.dram_cycles = energy.dram_cycles(bits_a + bits_b + bits_o);
-          c.dram_energy_j = energy.dram_energy_j(bits_a + bits_b + bits_o);
-          const auto conv_a =
-              mcf_a == acf_a ? ConversionCost{}
-                             : operand_conversion(mcf_a, acf_a, a.rows(),
-                                                  a.cols(), a.nnz(), dt,
-                                                  space.converter, energy);
-          const auto conv_b =
-              mcf_b == acf_b ? ConversionCost{}
-                             : operand_conversion(mcf_b, acf_b, b.rows(),
-                                                  b.cols(), b.nnz(), dt,
-                                                  space.converter, energy);
-          c.convert_cycles = conv_a.cycles + conv_b.cycles;
-          c.convert_energy_j = conv_a.energy_j + conv_b.energy_j;
-          c.compute_cycles = perf.total_cycles();
-          c.compute_energy_j = perf.compute_energy_j;
-
-          const double e = c.edp(energy);
-          if (e < best.edp) {
-            best = {mcf_a, mcf_b, acf_a, acf_b, mcf_o, c, e, perf};
-          }
-        }
-      }
+  // Both operands are swept once per distinct K-pass height (one per
+  // stationary ACF at most), not once per ACF pair.
+  struct Sweep {
+    index_t kt;
+    std::vector<PassStream> passes;
+    std::vector<TileMatch> matches;
+  };
+  const index_t csr_cap = payload_per_packet(Format::kCSR, cfg);
+  std::vector<Sweep> sweeps;
+  sweeps.reserve(space.acf_b.size());
+  const auto sweep_for = [&](index_t kt) -> const Sweep& {
+    for (const Sweep& s : sweeps) {
+      if (s.kt == kt) return s;
     }
-  }
-  MT_ENSURE(std::isfinite(best.edp), "no admissible format combination");
-  return best;
+    return sweeps.emplace_back(
+        Sweep{kt, stream_passes(a, kt, csr_cap),
+              match_passes(a, b, kt, cfg.num_pes)});
+  };
+  return search_matmul(
+      space, ta, tb, bits_o, mcf_o, energy, [&](Format acf_a, Format acf_b) {
+        const index_t kt =
+            matmul_pass_height(a.cols(), b.cols(), b.nnz(), acf_b, cfg);
+        const Sweep& s = sweep_for(kt);
+        return price_matmul(a.rows(), a.cols(), b.cols(), kt, s.passes,
+                            s.matches, acf_a, acf_b, cfg, energy);
+      });
 }
 
 SageChoice sage_select_spmm_dense_b(const CooMatrix& a, index_t n,
                                     const AccelConfig& cfg,
                                     const EnergyParams& energy,
                                     const FormatSpace& space) {
-  MT_REQUIRE(!space.mcf_a.empty() && !space.mcf_b.empty() &&
-                 !space.acf_a.empty() && !space.acf_b.empty(),
-             "format space must be non-empty");
+  check_space(space);
+  MT_REQUIRE(n > 0, "positive output width");
   const DataType dt = cfg.dtype;
   const index_t k = a.cols();
   const std::int64_t b_nnz = k * n;  // fully dense factor
@@ -211,48 +279,27 @@ SageChoice sage_select_spmm_dense_b(const CooMatrix& a, index_t n,
   // matches every MCFO the paper reports for SpMM).
   const Format mcf_o = Format::kDense;
   const std::int64_t bits_o = a.rows() * n * bits_of(dt);
+  const auto ta = operand_terms(space.mcf_a, space.acf_a, space, a.rows(), k,
+                                a.nnz(), dt, energy);
+  const auto tb = operand_terms(space.mcf_b, space.acf_b, space, k, n, b_nnz,
+                                dt, energy);
 
-  SageChoice best;
-  best.edp = std::numeric_limits<double>::infinity();
-  for (Format acf_a : space.acf_a) {
-    for (Format acf_b : space.acf_b) {
-      const auto perf = model_matmul_dense_b(a, n, acf_a, acf_b, cfg, energy);
-      for (Format mcf_a : space.mcf_a) {
-        if (space.mcf_must_equal_acf && mcf_a != acf_a) continue;
-        if (space.converter == ConverterKind::kNone && mcf_a != acf_a) continue;
-        for (Format mcf_b : space.mcf_b) {
-          if (space.mcf_must_equal_acf && mcf_b != acf_b) continue;
-          if (space.converter == ConverterKind::kNone && mcf_b != acf_b) continue;
-          CostBreakdown c;
-          const auto bits_a = expected_matrix_storage(mcf_a, a.rows(), k,
-                                                      a.nnz(), dt).total_bits();
-          const auto bits_b =
-              expected_matrix_storage(mcf_b, k, n, b_nnz, dt).total_bits();
-          c.dram_cycles = energy.dram_cycles(bits_a + bits_b + bits_o);
-          c.dram_energy_j = energy.dram_energy_j(bits_a + bits_b + bits_o);
-          const auto conv_a =
-              mcf_a == acf_a ? ConversionCost{}
-                             : operand_conversion(mcf_a, acf_a, a.rows(), k,
-                                                  a.nnz(), dt, space.converter,
-                                                  energy);
-          const auto conv_b =
-              mcf_b == acf_b ? ConversionCost{}
-                             : operand_conversion(mcf_b, acf_b, k, n, b_nnz,
-                                                  dt, space.converter, energy);
-          c.convert_cycles = conv_a.cycles + conv_b.cycles;
-          c.convert_energy_j = conv_a.energy_j + conv_b.energy_j;
-          c.compute_cycles = perf.total_cycles();
-          c.compute_energy_j = perf.compute_energy_j;
-          const double e = c.edp(energy);
-          if (e < best.edp) {
-            best = {mcf_a, mcf_b, acf_a, acf_b, mcf_o, c, e, perf};
-          }
-        }
-      }
+  // A is swept once per distinct K-pass height, not once per ACF pair.
+  const index_t csr_cap = payload_per_packet(Format::kCSR, cfg);
+  std::vector<std::pair<index_t, std::vector<PassStream>>> sweeps;
+  sweeps.reserve(space.acf_b.size());
+  const auto passes_for = [&](index_t kt) -> const std::vector<PassStream>& {
+    for (const auto& [h, passes] : sweeps) {
+      if (h == kt) return passes;
     }
-  }
-  MT_ENSURE(std::isfinite(best.edp), "no admissible format combination");
-  return best;
+    return sweeps.emplace_back(kt, stream_passes(a, kt, csr_cap)).second;
+  };
+  return search_matmul(
+      space, ta, tb, bits_o, mcf_o, energy, [&](Format acf_a, Format acf_b) {
+        const index_t kt = dense_b_pass_height(k, acf_b, cfg);
+        return price_matmul_dense_b(a.rows(), k, n, kt, passes_for(kt), acf_a,
+                                    acf_b, cfg, energy);
+      });
 }
 
 SageTensorChoice sage_select_tensor(const CooTensor3& x, index_t rank,

@@ -362,6 +362,121 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(static_cast<int>(std::get<2>(info.param) * 100));
     });
 
+// --- stream_passes across K passes (Fig. 6 tiny buffers: 8 elements) ---
+
+// The per-pass stats by the definition: bucket A's nonzeros by pass, then
+// count row runs within each bucket.
+std::vector<PassStream> bucketed_passes(const CooMatrix& a, index_t kt,
+                                        index_t cap) {
+  std::vector<std::vector<index_t>> rows(
+      static_cast<std::size_t>(ceil_div(a.cols(), kt)));
+  for (std::int64_t i = 0; i < a.nnz(); ++i) {
+    rows[static_cast<std::size_t>(a.col_ids()[i] / kt)].push_back(
+        a.row_ids()[i]);
+  }
+  std::vector<PassStream> out(rows.size());
+  for (std::size_t p = 0; p < rows.size(); ++p) {
+    std::int64_t run = 0;
+    index_t run_row = -1;
+    for (index_t r : rows[p]) {
+      if (r != run_row) {
+        out[p].cycles += ceil_div(run, cap);
+        run = 0;
+        run_row = r;
+        ++out[p].rows_touched;
+      }
+      ++run;
+    }
+    out[p].cycles += ceil_div(run, cap);
+    out[p].elems = static_cast<std::int64_t>(rows[p].size());
+  }
+  return out;
+}
+
+TEST(StreamPasses, MatchBucketsAndGeneralModelAcrossPasses) {
+  const AccelConfig cfg = AccelConfig::walkthrough();
+  ASSERT_EQ(cfg.pe_buffer_bytes, 32);
+  const EnergyParams e;
+  struct Shape {
+    index_t m, k, n;
+    double d;
+  };
+  // k = 29 and 33 are not multiples of either pass height (8 Dense, 4
+  // CSC); k = 8 is one Dense pass; dense rows span every pass.
+  const Shape shapes[] = {{7, 29, 5, 0.3},  {12, 8, 3, 0.5}, {5, 33, 9, 1.0},
+                          {9, 17, 6, 0.05}, {1, 40, 2, 0.6}, {6, 3, 4, 0.7},
+                          {10, 24, 13, 0.2}};
+  const index_t csr_cap = payload_per_packet(Format::kCSR, cfg);
+  std::uint64_t seed = 500;
+  for (const auto& [m, k, n, d] : shapes) {
+    auto dense = random_dense(m, k, d, ++seed);
+    if (m > 3) {  // empty rows, one of them the last
+      for (index_t j = 0; j < k; ++j) {
+        dense.set(1, j, 0.f);
+        dense.set(m - 1, j, 0.f);
+      }
+    }
+    const auto a = CooMatrix::from_dense(dense);
+    const auto b = CooMatrix::from_dense(random_dense(k, n, 1.0, ++seed));
+    for (index_t kt : {index_t{1}, index_t{3}, index_t{4}, index_t{8}, k}) {
+      const auto got = stream_passes(a, kt, csr_cap);
+      const auto want = bucketed_passes(a, kt, csr_cap);
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t p = 0; p < got.size(); ++p) {
+        EXPECT_EQ(got[p].cycles, want[p].cycles) << m << "x" << k << " kt " << kt;
+        EXPECT_EQ(got[p].elems, want[p].elems) << m << "x" << k << " kt " << kt;
+        EXPECT_EQ(got[p].rows_touched, want[p].rows_touched)
+            << m << "x" << k << " kt " << kt;
+      }
+    }
+    for (Format fa : {Format::kDense, Format::kCSR, Format::kCOO}) {
+      for (Format fb : {Format::kDense, Format::kCSC}) {
+        const auto fast = model_matmul_dense_b(a, n, fa, fb, cfg, e);
+        const auto full = model_matmul(a, b, fa, fb, cfg, e);
+        const std::string at = std::to_string(m) + "x" + std::to_string(k) +
+                               " " + std::string(name_of(fa)) + "/" +
+                               std::string(name_of(fb));
+        EXPECT_GT(fast.k_passes, k > 8 ? 1 : 0) << at;
+        EXPECT_EQ(fast.k_passes, full.k_passes) << at;
+        EXPECT_EQ(fast.n_tiles, full.n_tiles) << at;
+        EXPECT_EQ(fast.phases.load_cycles, full.phases.load_cycles) << at;
+        EXPECT_EQ(fast.phases.stream_cycles, full.phases.stream_cycles) << at;
+        EXPECT_EQ(fast.phases.compute_cycles, full.phases.compute_cycles) << at;
+        EXPECT_EQ(fast.phases.overlap_cycles, full.phases.overlap_cycles) << at;
+        EXPECT_EQ(fast.phases.drain_cycles, full.phases.drain_cycles) << at;
+        EXPECT_EQ(fast.performed_macs, full.performed_macs) << at;
+        EXPECT_EQ(fast.useful_macs, full.useful_macs) << at;
+        EXPECT_EQ(fast.streamed_elems, full.streamed_elems) << at;
+      }
+    }
+  }
+}
+
+TEST(StreamPasses, RejectsUnsortedA) {
+  auto a = CooMatrix::from_entries(3, 3, {0, 1, 2}, {2, 0, 1}, {1.f, 2.f, 3.f});
+  a.sort_col_major();
+  EXPECT_THROW(stream_passes(a, 2, 1), std::invalid_argument);
+}
+
+TEST(MatchPasses, ColumnMajorBPricesLikeRowMajor) {
+  AccelConfig cfg = AccelConfig::walkthrough();
+  const EnergyParams e;
+  const auto a = CooMatrix::from_dense(random_dense(9, 21, 0.4, 601));
+  const auto b = CooMatrix::from_dense(random_dense(21, 11, 0.3, 602));
+  auto b_cols = b;
+  b_cols.sort_col_major();
+  for (Format fa : {Format::kDense, Format::kCSR, Format::kCOO}) {
+    for (Format fb : {Format::kDense, Format::kCSC}) {
+      const auto r = model_matmul(a, b, fa, fb, cfg, e);
+      const auto c = model_matmul(a, b_cols, fa, fb, cfg, e);
+      EXPECT_EQ(r.total_cycles(), c.total_cycles());
+      EXPECT_EQ(r.performed_macs, c.performed_macs);
+      EXPECT_EQ(r.useful_macs, c.useful_macs);
+      EXPECT_EQ(r.compute_energy_j, c.compute_energy_j);
+    }
+  }
+}
+
 // --- Tensor kernels on the model ---
 
 TEST(TensorModel, CooAcfBeatsDenseForSparseTensor) {

@@ -100,6 +100,41 @@ TEST(DirectConverters, RlcWithEscapesToCoo) {
   EXPECT_EQ(max_abs_diff(got.to_dense(), d), 0.0);
 }
 
+// coo_to_rlc encodes from the sorted COO directly; it must be bit-equal
+// to the dense encoder run on the same matrix.
+void expect_rlc_matches_dense_encoder(const CooMatrix& c, int run_bits) {
+  const auto got = coo_to_rlc(c, run_bits);
+  const auto want = RlcMatrix::from_dense(c.to_dense(), run_bits);
+  EXPECT_EQ(got.rows(), want.rows());
+  EXPECT_EQ(got.cols(), want.cols());
+  EXPECT_EQ(got.run_bits(), want.run_bits());
+  EXPECT_EQ(got.entries(), want.entries())
+      << c.rows() << "x" << c.cols() << " run_bits " << run_bits;
+}
+
+TEST(DirectConverters, CooToRlcMatchesDenseEncoder) {
+  for (int run_bits : {1, 2, 3, kRlcRunBits, 16}) {
+    for (double d : {0.0, 0.01, 0.1, 0.5, 1.0}) {
+      expect_rlc_matches_dense_encoder(
+          CooMatrix::from_dense(random_dense(23, 41, d, 0x51C)), run_bits);
+    }
+    expect_rlc_matches_dense_encoder(CooMatrix::from_dense(DenseMatrix(0, 0)),
+                                     run_bits);
+    expect_rlc_matches_dense_encoder(CooMatrix::from_dense(DenseMatrix(4, 0)),
+                                     run_bits);
+    // Explicitly stored zeros (positive and negative) fold into the runs;
+    // the gaps between nonzeros are longer than max_run at small widths.
+    const auto explicit_zeros = CooMatrix::from_entries(
+        7, 300, {0, 0, 2, 4, 6, 6}, {0, 5, 299, 100, 0, 299},
+        {0.f, 1.5f, -0.f, 2.f, 0.f, 3.f});
+    expect_rlc_matches_dense_encoder(explicit_zeros, run_bits);
+    // A gap over 2^16 zeros: an escape even at 16-bit runs.
+    expect_rlc_matches_dense_encoder(
+        CooMatrix::from_entries(300, 400, {0, 299}, {1, 398}, {1.f, 2.f}),
+        run_bits);
+  }
+}
+
 TEST(DirectConverters, DenseToCsfMatchesFromCoo) {
   const auto t = random_tensor(9, 7, 11, 0.08, 1234);
   const auto a = dense_to_csf(t);

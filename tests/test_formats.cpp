@@ -93,6 +93,48 @@ TEST(CooMatrix, SortsUnsortedEntries) {
   EXPECT_EQ(c.values()[2], 3.f);
 }
 
+// --- from_entries: sorted input skips the sort, the rest still sorts ---
+
+TEST(CooMatrix, SortedInputIsKeptAsIs) {
+  const std::vector<index_t> rows = {0, 0, 1, 3, 3};
+  const std::vector<index_t> cols = {1, 4, 0, 2, 3};
+  const std::vector<value_t> vals = {1.f, 2.f, 3.f, 4.f, 5.f};
+  const auto c = CooMatrix::from_entries(4, 5, rows, cols, vals);
+  EXPECT_EQ(c.row_ids(), rows);
+  EXPECT_EQ(c.col_ids(), cols);
+  EXPECT_EQ(c.values(), vals);
+}
+
+TEST(CooMatrix, SortedInputWithAdjacentDuplicateThrows) {
+  // Row-major order except for one repeated coordinate: not strictly
+  // sorted, so it takes the sorting path, which rejects the duplicate.
+  EXPECT_THROW(CooMatrix::from_entries(3, 3, {0, 1, 1, 2}, {2, 0, 0, 1},
+                                       {1.f, 2.f, 3.f, 4.f}),
+               std::invalid_argument);
+}
+
+TEST(CooMatrix, UnsortedInputComesOutSorted) {
+  const auto c = CooMatrix::from_entries(3, 4, {2, 0, 2, 1, 0},
+                                         {0, 3, 3, 1, 0},
+                                         {1.f, 2.f, 3.f, 4.f, 5.f});
+  const std::vector<index_t> rows = {0, 0, 1, 2, 2};
+  const std::vector<index_t> cols = {0, 3, 1, 0, 3};
+  const std::vector<value_t> vals = {5.f, 2.f, 4.f, 1.f, 3.f};
+  EXPECT_EQ(c.row_ids(), rows);
+  EXPECT_EQ(c.col_ids(), cols);
+  EXPECT_EQ(c.values(), vals);
+}
+
+TEST(CooMatrix, OutOfRangeThrowsOnBothPaths) {
+  // Sorted input (fast path) and unsorted input (sorting path).
+  EXPECT_THROW(CooMatrix::from_entries(2, 2, {0, 1}, {0, 2}, {1.f, 2.f}),
+               std::invalid_argument);
+  EXPECT_THROW(CooMatrix::from_entries(2, 2, {1, 0}, {0, -1}, {1.f, 2.f}),
+               std::invalid_argument);
+  EXPECT_THROW(CooMatrix::from_entries(2, 2, {-1, 0}, {0, 0}, {1.f, 2.f}),
+               std::invalid_argument);
+}
+
 TEST(CooMatrix, ColMajorSort) {
   auto c = CooMatrix::from_dense(fig3_matrix());
   c.sort_col_major();
@@ -118,6 +160,47 @@ TEST(CscMatrix, Fig3Example) {
   EXPECT_EQ(m.col_ptr(), ptr);
   EXPECT_EQ(m.row_ids(), row);
   EXPECT_EQ(m.values(), val);
+}
+
+// CscMatrix::to_coo scatters into row-major order; it must equal the
+// sorting constructor fed the same entries in column-major order.
+TEST(CscMatrix, ToCooMatchesSortingConstructor) {
+  struct Shape {
+    index_t m, k;
+    double d;
+  };
+  const Shape shapes[] = {{5, 7, 0.0},   {1, 9, 0.5},  {9, 1, 0.5},
+                          {1, 1, 1.0},   {12, 10, 0.1}, {30, 20, 0.3},
+                          {16, 16, 1.0}};
+  for (const auto& [m, k, d] : shapes) {
+    auto dense = random_dense(m, k, d, 0xC5C + static_cast<std::uint64_t>(m));
+    if (m > 2 && k > 2) {
+      // An empty row and an empty column.
+      for (index_t j = 0; j < k; ++j) dense.set(1, j, 0.f);
+      for (index_t i = 0; i < m; ++i) dense.set(i, 2, 0.f);
+    }
+    const auto csc = CscMatrix::from_dense(dense);
+    std::vector<index_t> rows, cols;
+    for (index_t c = 0; c < csc.cols(); ++c) {
+      for (index_t i = csc.col_ptr()[c]; i < csc.col_ptr()[c + 1]; ++i) {
+        rows.push_back(csc.row_ids()[i]);
+        cols.push_back(c);
+      }
+    }
+    const auto want =
+        CooMatrix::from_entries(m, k, rows, cols, csc.values());
+    const auto got = csc.to_coo();
+    EXPECT_EQ(got.rows(), m);
+    EXPECT_EQ(got.cols(), k);
+    EXPECT_EQ(got.row_ids(), want.row_ids()) << m << "x" << k;
+    EXPECT_EQ(got.col_ids(), want.col_ids()) << m << "x" << k;
+    EXPECT_EQ(got.values(), want.values()) << m << "x" << k;
+    // And from_coo inverts it.
+    const auto back = CscMatrix::from_coo(got);
+    EXPECT_EQ(back.col_ptr(), csc.col_ptr());
+    EXPECT_EQ(back.row_ids(), csc.row_ids());
+    EXPECT_EQ(back.values(), csc.values());
+  }
 }
 
 TEST(CsrMatrix, FromPartsValidates) {
@@ -310,6 +393,53 @@ TEST(CooTensor3, Fig3bExample) {
   EXPECT_EQ(c.x_ids(), x);
   EXPECT_EQ(c.y_ids(), y);
   EXPECT_EQ(c.z_ids(), z);
+}
+
+TEST(CooTensor3, SortedInputIsKeptAsIs) {
+  const std::vector<index_t> x = {0, 0, 1, 1}, y = {0, 2, 0, 0},
+                             z = {3, 1, 0, 2};
+  const std::vector<value_t> v = {1.f, 2.f, 3.f, 4.f};
+  const auto t = CooTensor3::from_entries(2, 3, 4, x, y, z, v);
+  EXPECT_EQ(t.x_ids(), x);
+  EXPECT_EQ(t.y_ids(), y);
+  EXPECT_EQ(t.z_ids(), z);
+  EXPECT_EQ(t.values(), v);
+}
+
+TEST(CooTensor3, UnsortedInputComesOutSorted) {
+  const auto t = CooTensor3::from_entries(2, 3, 4, {1, 0, 1, 0}, {0, 2, 0, 0},
+                                          {2, 1, 0, 3}, {4.f, 2.f, 3.f, 1.f});
+  const std::vector<index_t> x = {0, 0, 1, 1}, y = {0, 2, 0, 0},
+                             z = {3, 1, 0, 2};
+  const std::vector<value_t> v = {1.f, 2.f, 3.f, 4.f};
+  EXPECT_EQ(t.x_ids(), x);
+  EXPECT_EQ(t.y_ids(), y);
+  EXPECT_EQ(t.z_ids(), z);
+  EXPECT_EQ(t.values(), v);
+}
+
+TEST(CooTensor3, RejectsDuplicatesOnTheSortingPath) {
+  EXPECT_THROW(CooTensor3::from_entries(2, 2, 2, {0, 1, 1}, {0, 1, 1},
+                                        {0, 1, 1}, {1.f, 2.f, 3.f}),
+               std::invalid_argument);
+  EXPECT_THROW(CooTensor3::from_entries(2, 2, 2, {1, 0, 1}, {1, 0, 1},
+                                        {1, 0, 1}, {1.f, 2.f, 3.f}),
+               std::invalid_argument);
+}
+
+TEST(CooTensor3, RejectsOutOfRangeAndNegativeDimensions) {
+  // Out of range on the sorted path and on the unsorted path (checked
+  // before any sort).
+  EXPECT_THROW(CooTensor3::from_entries(2, 2, 2, {0, 1}, {0, 1}, {0, 2},
+                                        {1.f, 2.f}),
+               std::invalid_argument);
+  EXPECT_THROW(CooTensor3::from_entries(2, 2, 2, {1, -1}, {0, 0}, {0, 0},
+                                        {1.f, 2.f}),
+               std::invalid_argument);
+  EXPECT_THROW(CooTensor3::from_entries(-1, 2, 2, {}, {}, {}, {}),
+               std::invalid_argument);
+  EXPECT_THROW(CooTensor3::from_entries(2, 2, -3, {}, {}, {}, {}),
+               std::invalid_argument);
 }
 
 TEST(CsfTensor3, Fig3bTreeShape) {
