@@ -87,6 +87,23 @@ MT_SIMD_TARGET inline __m256 fma(__m256 a, __m256 b, __m256 c) {
   return _mm256_fmadd_ps(a, b, c);
 }
 
+// Lane mask selecting the first w lanes (all-ones in [0, w), clear
+// above): w <= 0 selects none, w >= 8 all.
+MT_SIMD_TARGET inline __m256i first_lanes(std::int64_t w) {
+  const int live = static_cast<int>(w < 0 ? 0 : (w > kLanes ? kLanes : w));
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(live),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+// Masked load/store: lanes outside the mask are neither read nor written
+// (so a masked-off lane past the end of an array cannot fault), and load
+// as +0.0f.
+MT_SIMD_TARGET inline __m256 load_masked(const float* p, __m256i mask) {
+  return _mm256_maskload_ps(p, mask);
+}
+MT_SIMD_TARGET inline void store_masked(float* p, __m256i mask, __m256 v) {
+  _mm256_maskstore_ps(p, mask, v);
+}
+
 // Gather base[idx[0..7]] for 64-bit indices (index_t): two 4-lane
 // i64 gathers glued into one 8-lane vector, preserving lane order.
 MT_SIMD_TARGET inline __m256 gather(const float* base,

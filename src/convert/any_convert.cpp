@@ -136,6 +136,8 @@ AnyMatrix convert(const AnyMatrix& m, Format target) {
     if (target == Format::kCOO) return AnyMatrix(std::move(hub));
     return hub_from_coo(hub, target);
   }
+  // The decoded matrix already is the Dense result; encode() would copy it.
+  if (target == Format::kDense) return decode(m);
   return encode(decode(m), target);
 }
 
@@ -196,6 +198,7 @@ AnyTensor convert(const AnyTensor& t, Format target) {
     if (target == Format::kCOO) return h->to_coo();
     if (target == Format::kCSF) return CsfTensor3::from_coo(h->to_coo());
   }
+  if (target == Format::kDense) return decode(t);
   return encode(decode(t), target);
 }
 

@@ -1,5 +1,6 @@
 #include <algorithm>
 
+#include "common/aligned.hpp"
 #include "common/bitutil.hpp"
 #include "common/error.hpp"
 #include "convert/convert.hpp"
@@ -160,25 +161,40 @@ BsrMatrix csr_to_bsr(const CsrMatrix& a, index_t block_rows,
 }
 
 CsrMatrix bsr_to_csr(const BsrMatrix& a) {
-  std::vector<index_t> rows, cols;
-  std::vector<value_t> vals;
-  const index_t grid_rows = a.block_grid_rows();
-  for (index_t gr = 0; gr < grid_rows; ++gr) {
-    for (index_t b = a.block_row_ptr()[gr]; b < a.block_row_ptr()[gr + 1]; ++b) {
-      for (index_t br = 0; br < a.block_rows(); ++br) {
-        for (index_t bc = 0; bc < a.block_cols(); ++bc) {
-          const value_t x = a.block_values()[static_cast<std::size_t>(
-              (b * a.block_rows() + br) * a.block_cols() + bc)];
+  // Blocks are stored block-row by block-row with ascending block column
+  // ids, so walking each scalar row across its block row's blocks yields
+  // CSR order directly: O(nnz + rows), no sort.
+  const index_t br = a.block_rows(), bc = a.block_cols();
+  const auto& brp = a.block_row_ptr();
+  const auto& bcol = a.block_col_ids();
+  const auto& bval = a.block_values();
+  std::vector<index_t> row_ptr{0};
+  row_ptr.reserve(static_cast<std::size_t>(a.rows()) + 1);
+  std::vector<index_t> col_ids;
+  AlignedVec<value_t> values;
+  for (index_t gr = 0; gr < a.block_grid_rows(); ++gr) {
+    for (index_t in = 0; in < br; ++in) {
+      const index_t r = gr * br + in;
+      for (index_t b = brp[gr]; b < brp[gr + 1]; ++b) {
+        for (index_t jc = 0; jc < bc; ++jc) {
+          const value_t x =
+              bval[static_cast<std::size_t>((b * br + in) * bc + jc)];
           if (x == 0.0f) continue;  // drop fill zeros
-          rows.push_back(gr * a.block_rows() + br);
-          cols.push_back(a.block_col_ids()[b] * a.block_cols() + bc);
-          vals.push_back(x);
+          const index_t c = bcol[b] * bc + jc;
+          MT_REQUIRE(r < a.rows() && c < a.cols(),
+                     "padding region of a boundary block must be zero");
+          col_ids.push_back(c);
+          values.push_back(x);
         }
+      }
+      if (r < a.rows()) {
+        row_ptr.push_back(static_cast<index_t>(col_ids.size()));
       }
     }
   }
-  return CsrMatrix::from_coo(CooMatrix::from_entries(
-      a.rows(), a.cols(), std::move(rows), std::move(cols), std::move(vals)));
+  return CsrMatrix::from_parts_aligned(a.rows(), a.cols(),
+                                       std::move(row_ptr), std::move(col_ids),
+                                       std::move(values));
 }
 
 CsfTensor3 dense_to_csf(const DenseTensor3& a) { return CsfTensor3::from_dense(a); }

@@ -1,7 +1,6 @@
 #include "kernels/gemm.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/error.hpp"
 #include "common/simd.hpp"
@@ -49,6 +48,44 @@ MT_SIMD_TARGET void gemm_tile_avx2(const value_t* pa, const value_t* pb,
   }
 }
 
+// The column tail (w = n % kNr < 16 columns at j0) of one mr-row tile:
+// the same register tile as gemm_tile_avx2 with V masked accumulators per
+// row (V = 1 for w <= 8, else 2). Masked-off lanes are never read or
+// written, and a live lane computes exactly std::fmaf(a, b, c) with k
+// ascending as in the full tile, so a cell's bits do not depend on
+// whether its column falls in a tile or the tail — concatenating batched
+// GEMM factors (which shifts the tile grid) cannot change per-request
+// results.
+template <int V>
+MT_SIMD_TARGET void gemm_tail_avx2(const value_t* pa, const value_t* pb,
+                                   value_t* po, index_t k, index_t n,
+                                   index_t i0, index_t mr, index_t k0,
+                                   index_t k1, index_t j0, index_t w) {
+  __m256i mask[V];
+  for (int v = 0; v < V; ++v) mask[v] = simd::first_lanes(w - 8 * v);
+  __m256 c[kMr][V];
+  for (index_t r = 0; r < mr; ++r) {
+    for (int v = 0; v < V; ++v) {
+      c[r][v] = simd::load_masked(po + (i0 + r) * n + j0 + 8 * v, mask[v]);
+    }
+  }
+  for (index_t kk = k0; kk < k1; ++kk) {
+    __m256 b[V];
+    for (int v = 0; v < V; ++v) {
+      b[v] = simd::load_masked(pb + kk * n + j0 + 8 * v, mask[v]);
+    }
+    for (index_t r = 0; r < mr; ++r) {
+      const __m256 av = simd::set1(pa[(i0 + r) * k + kk]);
+      for (int v = 0; v < V; ++v) c[r][v] = simd::fma(av, b[v], c[r][v]);
+    }
+  }
+  for (index_t r = 0; r < mr; ++r) {
+    for (int v = 0; v < V; ++v) {
+      simd::store_masked(po + (i0 + r) * n + j0 + 8 * v, mask[v], c[r][v]);
+    }
+  }
+}
+
 }  // namespace
 #endif  // MT_SIMD_X86
 
@@ -73,18 +110,11 @@ DenseMatrix gemm(const DenseMatrix& a, const DenseMatrix& b) {
         for (index_t j0 = 0; j0 < j_main; j0 += kNr) {
           gemm_tile_avx2(pa, pb, po, k, n, i0, mr, k0, k1, j0);
         }
-        // Column tail (< kNr): scalar, same k-panel traversal order, and
-        // fused multiply-add to match the tile's FMA rounding — a cell's
-        // bits must not depend on whether its column falls in a tile or
-        // the tail, or concatenating batched GEMM factors (which shifts
-        // the tile grid) would change per-request results.
-        for (index_t r = i0; r < i0 + mr; ++r) {
-          for (index_t kk = k0; kk < k1; ++kk) {
-            const value_t av = pa[r * k + kk];
-            for (index_t j = j_main; j < n; ++j) {
-              po[r * n + j] = std::fmaf(av, pb[kk * n + j], po[r * n + j]);
-            }
-          }
+        const index_t w = n - j_main;
+        if (w > 8) {
+          gemm_tail_avx2<2>(pa, pb, po, k, n, i0, mr, k0, k1, j_main, w);
+        } else if (w > 0) {
+          gemm_tail_avx2<1>(pa, pb, po, k, n, i0, mr, k0, k1, j_main, w);
         }
       }
     }

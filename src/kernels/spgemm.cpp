@@ -30,12 +30,15 @@ constexpr index_t kSpgemmTileCols = 16384;
 // std::sort of the touched list — the sort was the dominant cost of the
 // previous implementation, not the FLOPs. Column tiles are walked with
 // per-entry resume cursors into B's rows, so every B nonzero is still
-// visited exactly once per A entry regardless of the tile count.
+// visited exactly once per A entry regardless of the tile count. A row
+// whose products fill at least a quarter of a single-tile accumulator
+// skips the bitmap and drains by sweeping the accumulator itself.
 //
 // Determinism: each output row depends only on its own A row and B, per
 // (r, c) accumulation follows A's row-r nonzero order on any thread
-// count, and rows are concatenated in ascending order — bit-identical
-// run-to-run, across thread counts, and to the pre-tiled kernel.
+// count and on either drain path, and rows are concatenated in ascending
+// order — bit-identical run-to-run, across thread counts and tile
+// widths, and to the pre-tiled kernel.
 CsrMatrix spgemm_csr_tiled(const CsrMatrix& a, const CsrMatrix& b,
                            index_t tile_cols) {
   MT_REQUIRE(a.cols() == b.rows(), "inner dimensions must agree");
@@ -68,43 +71,77 @@ CsrMatrix spgemm_csr_tiled(const CsrMatrix& a, const CsrMatrix& b,
     std::vector<index_t> cursor;
     for (index_t r = r_lo; r < r_hi; ++r) {
       const index_t a_lo = a_rp[r], a_hi = a_rp[r + 1];
-      cursor.assign(static_cast<std::size_t>(a_hi - a_lo), 0);
+      index_t products = 0;  // upper bound on the row's output nnz
       for (index_t i = a_lo; i < a_hi; ++i) {
-        cursor[static_cast<std::size_t>(i - a_lo)] = b_rp[a_ci[i]];
+        products += b_rp[a_ci[i] + 1] - b_rp[a_ci[i]];
       }
       const std::size_t row_start = out_c.size();
-      for (index_t c0 = 0; c0 < n; c0 += tile_cols) {
-        const index_t c_end = std::min<index_t>(n, c0 + tile_cols);
-        // Scatter this row's contributions that land in [c0, c_end).
+      if (n <= tile_cols && 4 * products >= n) {
+        // Dense row in a single tile: at least one product per four
+        // columns, so sweeping the whole accumulator costs no more than
+        // keeping the bitmap. Scatter without it, then drain every cell
+        // that is != 0 in ascending order. Same output set as the bitmap
+        // path: untouched cells are still +0, and the drain drops exact
+        // zeros (either sign) there too. Resetting every swept cell keeps
+        // the accumulator at +0 for the next row.
         for (index_t i = a_lo; i < a_hi; ++i) {
           const value_t av = a_v[i];
-          const index_t j_hi = b_rp[a_ci[i] + 1];
-          index_t j = cursor[static_cast<std::size_t>(i - a_lo)];
-          for (; j < j_hi && b_ci[j] < c_end; ++j) {
-            const index_t c = b_ci[j];
-            acc[static_cast<std::size_t>(c)] += av * b_v[j];
-            occupied[static_cast<std::size_t>(c >> 6)] |=
-                std::uint64_t{1} << (c & 63);
+          for (index_t j = b_rp[a_ci[i]]; j < b_rp[a_ci[i] + 1]; ++j) {
+            acc[static_cast<std::size_t>(b_ci[j])] += av * b_v[j];
           }
-          cursor[static_cast<std::size_t>(i - a_lo)] = j;
         }
-        // Drain the tile: sweeping words (then bits) in ascending order
-        // yields sorted column ids for free. A word straddling c_end is
-        // safe to drain whole — bits >= c_end cannot be set yet, and the
-        // next tile re-sweeps the word.
-        for (index_t w = c0 >> 6; w < (c_end + 63) >> 6; ++w) {
-          std::uint64_t bits = occupied[static_cast<std::size_t>(w)];
-          occupied[static_cast<std::size_t>(w)] = 0;
-          while (bits != 0) {
-            const index_t c = (w << 6) + std::countr_zero(bits);
-            bits &= bits - 1;
-            const value_t x = acc[static_cast<std::size_t>(c)];
-            acc[static_cast<std::size_t>(c)] = 0.0f;
-            // Numerical cancellation can produce exact zeros; keep them
-            // out of the compressed output so nnz reflects stored values.
-            if (x != 0.0f) {
-              out_c.push_back(c);
-              out_v.push_back(x);
+        // Branch-free compaction: at this density a "cell != 0" branch
+        // would mispredict on a large share of the cells.
+        out_c.resize(row_start + static_cast<std::size_t>(n));
+        out_v.resize(row_start + static_cast<std::size_t>(n));
+        std::size_t kept = row_start;
+        for (index_t c = 0; c < n; ++c) {
+          const value_t x = acc[static_cast<std::size_t>(c)];
+          acc[static_cast<std::size_t>(c)] = 0.0f;
+          out_c[kept] = c;
+          out_v[kept] = x;
+          kept += x != 0.0f ? 1 : 0;
+        }
+        out_c.resize(kept);
+        out_v.resize(kept);
+      } else {
+        cursor.assign(static_cast<std::size_t>(a_hi - a_lo), 0);
+        for (index_t i = a_lo; i < a_hi; ++i) {
+          cursor[static_cast<std::size_t>(i - a_lo)] = b_rp[a_ci[i]];
+        }
+        for (index_t c0 = 0; c0 < n; c0 += tile_cols) {
+          const index_t c_end = std::min<index_t>(n, c0 + tile_cols);
+          // Scatter this row's contributions that land in [c0, c_end).
+          for (index_t i = a_lo; i < a_hi; ++i) {
+            const value_t av = a_v[i];
+            const index_t j_hi = b_rp[a_ci[i] + 1];
+            index_t j = cursor[static_cast<std::size_t>(i - a_lo)];
+            for (; j < j_hi && b_ci[j] < c_end; ++j) {
+              const index_t c = b_ci[j];
+              acc[static_cast<std::size_t>(c)] += av * b_v[j];
+              occupied[static_cast<std::size_t>(c >> 6)] |=
+                  std::uint64_t{1} << (c & 63);
+            }
+            cursor[static_cast<std::size_t>(i - a_lo)] = j;
+          }
+          // Drain the tile: sweeping words (then bits) in ascending order
+          // yields sorted column ids for free. A word straddling c_end is
+          // safe to drain whole — bits >= c_end cannot be set yet, and the
+          // next tile re-sweeps the word.
+          for (index_t w = c0 >> 6; w < (c_end + 63) >> 6; ++w) {
+            std::uint64_t bits = occupied[static_cast<std::size_t>(w)];
+            occupied[static_cast<std::size_t>(w)] = 0;
+            while (bits != 0) {
+              const index_t c = (w << 6) + std::countr_zero(bits);
+              bits &= bits - 1;
+              const value_t x = acc[static_cast<std::size_t>(c)];
+              acc[static_cast<std::size_t>(c)] = 0.0f;
+              // Numerical cancellation can produce exact zeros; keep them
+              // out of the compressed output so nnz reflects stored values.
+              if (x != 0.0f) {
+                out_c.push_back(c);
+                out_v.push_back(x);
+              }
             }
           }
         }

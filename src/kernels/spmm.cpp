@@ -1,7 +1,6 @@
 #include "kernels/spmm.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/error.hpp"
 #include "common/simd.hpp"
@@ -13,53 +12,149 @@ namespace mt {
 #if MT_SIMD_X86
 namespace {
 
-// One CSR×Dense output row: j-tiles of 32 columns held in four ymm
-// accumulators across the whole nonzero walk, so each output element is
-// loaded/stored once per row instead of once per nonzero. Per-cell
-// accumulation still follows A's row-r nonzeros in order, matching the
-// scalar path's order (FMA rounding aside).
+// Bit contract of every CSR×Dense SIMD path below: an output cell
+// starts at +0 and takes one fused multiply-add per nonzero of its A row,
+// in index order — whether its column lands in a 32-, 16- or 8-wide
+// tile, a masked tail lane or a 4-row narrow group. So a column's bits
+// never depend on the matrix width, which the serving batcher relies on
+// when it stacks SpMV payloads of different batch sizes through this
+// kernel (a single SpMV is a width-1 stack).
+
+// Columns [j, j + 8*kFull + w) of one CSR×Dense output row in kFull
+// full ymm accumulators plus, when kMasked, one masked accumulator for
+// the w = n - j - 8*kFull < 8 columns after them. The accumulators stay
+// in registers across the whole nonzero walk, so each output element is
+// stored once per row instead of once per nonzero.
+template <int kFull, bool kMasked>
+MT_SIMD_TARGET void spmm_csr_row_cols_avx2(const index_t* cols,
+                                           const value_t* vals, index_t cnt,
+                                           const value_t* pb, index_t n,
+                                           index_t j, value_t* out) {
+  constexpr int kVecs = kFull + (kMasked ? 1 : 0);
+  const __m256i mask = simd::first_lanes(n - j - 8 * kFull);
+  __m256 c[kVecs];
+  for (int v = 0; v < kVecs; ++v) c[v] = simd::zero();
+  for (index_t i = 0; i < cnt; ++i) {
+    const __m256 av = simd::set1(vals[i]);
+    const value_t* pr = pb + cols[i] * n + j;
+    for (int v = 0; v < kFull; ++v) {
+      c[v] = simd::fma(av, simd::load(pr + 8 * v), c[v]);
+    }
+    if constexpr (kMasked) {
+      c[kFull] =
+          simd::fma(av, simd::load_masked(pr + 8 * kFull, mask), c[kFull]);
+    }
+  }
+  for (int v = 0; v < kFull; ++v) simd::store(out + j + 8 * v, c[v]);
+  if constexpr (kMasked) {
+    simd::store_masked(out + j + 8 * kFull, mask, c[kFull]);
+  }
+}
+
+// One CSR×Dense output row of width n > 8: 32-column tiles, then at
+// most one 16-column tile, then the < 16 remaining columns in one more
+// walk of the row (a full vector and/or a masked one).
 MT_SIMD_TARGET void spmm_csr_row_avx2(const index_t* cols,
                                       const value_t* vals, index_t cnt,
                                       const value_t* pb, index_t n,
                                       value_t* out) {
   index_t j = 0;
   for (; j + 32 <= n; j += 32) {
-    __m256 c0 = simd::zero();
-    __m256 c1 = simd::zero();
-    __m256 c2 = simd::zero();
-    __m256 c3 = simd::zero();
-    for (index_t i = 0; i < cnt; ++i) {
-      const __m256 av = simd::set1(vals[i]);
-      const value_t* pr = pb + cols[i] * n + j;
-      c0 = simd::fma(av, simd::load(pr), c0);
-      c1 = simd::fma(av, simd::load(pr + 8), c1);
-      c2 = simd::fma(av, simd::load(pr + 16), c2);
-      c3 = simd::fma(av, simd::load(pr + 24), c3);
-    }
-    simd::store(out + j, c0);
-    simd::store(out + j + 8, c1);
-    simd::store(out + j + 16, c2);
-    simd::store(out + j + 24, c3);
+    spmm_csr_row_cols_avx2<4, false>(cols, vals, cnt, pb, n, j, out);
   }
-  for (; j + 8 <= n; j += 8) {
-    __m256 c0 = simd::zero();
-    for (index_t i = 0; i < cnt; ++i) {
-      c0 = simd::fma(simd::set1(vals[i]),
-                     simd::load(pb + cols[i] * n + j), c0);
-    }
-    simd::store(out + j, c0);
+  if (j + 16 <= n) {
+    spmm_csr_row_cols_avx2<2, false>(cols, vals, cnt, pb, n, j, out);
+    j += 16;
   }
-  // Column tail (< 8): fused multiply-add, not mul+add, so a cell's bits
-  // never depend on whether its column lands in a vector tile or the tail
-  // — that is what makes per-column results independent of the matrix
-  // width, which the serving batcher relies on when it stacks SpMV
-  // payloads of different batch sizes through this kernel.
-  for (; j < n; ++j) {
-    value_t acc = 0.0f;
-    for (index_t i = 0; i < cnt; ++i) {
-      acc = std::fmaf(vals[i], pb[cols[i] * n + j], acc);
+  const index_t w = n - j;
+  if (w > 8) {
+    spmm_csr_row_cols_avx2<1, true>(cols, vals, cnt, pb, n, j, out);
+  } else if (w == 8) {
+    spmm_csr_row_cols_avx2<1, false>(cols, vals, cnt, pb, n, j, out);
+  } else if (w > 0) {
+    spmm_csr_row_cols_avx2<0, true>(cols, vals, cnt, pb, n, j, out);
+  }
+}
+
+// Accumulator policies of the narrow row groups below: width 1 keeps a
+// row's accumulator in the low lane of an xmm, widths 2..7 in a masked
+// ymm, width 8 in a full one. Either way a live lane takes exactly one
+// fused multiply-add per nonzero.
+struct NarrowOne {
+  explicit NarrowOne(index_t) {}
+  MT_SIMD_TARGET __m128 zero() const { return _mm_setzero_ps(); }
+  MT_SIMD_TARGET __m128 step(__m128 c, value_t a,
+                             const value_t* brow) const {
+    return _mm_fmadd_ss(_mm_set_ss(a), _mm_load_ss(brow), c);
+  }
+  MT_SIMD_TARGET void store(value_t* out, __m128 c) const {
+    _mm_store_ss(out, c);
+  }
+};
+
+struct NarrowMasked {
+  MT_SIMD_TARGET explicit NarrowMasked(index_t n)
+      : mask(simd::first_lanes(n)) {}
+  __m256i mask;
+  MT_SIMD_TARGET __m256 zero() const { return simd::zero(); }
+  MT_SIMD_TARGET __m256 step(__m256 c, value_t a,
+                             const value_t* brow) const {
+    return simd::fma(simd::set1(a), simd::load_masked(brow, mask), c);
+  }
+  MT_SIMD_TARGET void store(value_t* out, __m256 c) const {
+    simd::store_masked(out, mask, c);
+  }
+};
+
+struct NarrowFull {
+  explicit NarrowFull(index_t) {}
+  MT_SIMD_TARGET __m256 zero() const { return simd::zero(); }
+  MT_SIMD_TARGET __m256 step(__m256 c, value_t a,
+                             const value_t* brow) const {
+    return simd::fma(simd::set1(a), simd::load(brow), c);
+  }
+  MT_SIMD_TARGET void store(value_t* out, __m256 c) const {
+    simd::store(out, c);
+  }
+};
+
+// Rows [r0, r0 + nr) (nr <= 4) of a CSR×Dense product of width n <= 8.
+// A single row's chain is latency-bound (each FMA waits on the previous
+// one), so the four rows' chains are interleaved over their common
+// nonzero prefix and overlap in the FMA pipeline; each row then finishes
+// its own remaining nonzeros.
+template <class Lane>
+MT_SIMD_TARGET void spmm_csr_rows4_narrow_avx2(const index_t* rp,
+                                               const index_t* ci,
+                                               const value_t* av,
+                                               index_t r0, index_t nr,
+                                               const value_t* pb, index_t n,
+                                               value_t* po) {
+  const Lane lane(n);
+  // A missing row (q >= nr) reads as empty, so the common prefix is 0.
+  index_t lo[4], hi[4];
+  for (index_t q = 0; q < 4; ++q) {
+    lo[q] = rp[r0 + std::min(q, nr)];
+    hi[q] = rp[r0 + std::min(q + 1, nr)];
+  }
+  const index_t common = std::min(
+      {hi[0] - lo[0], hi[1] - lo[1], hi[2] - lo[2], hi[3] - lo[3]});
+  auto c0 = lane.zero(), c1 = lane.zero(), c2 = lane.zero(), c3 = lane.zero();
+  for (index_t i = 0; i < common; ++i) {
+    const index_t e0 = lo[0] + i, e1 = lo[1] + i;
+    const index_t e2 = lo[2] + i, e3 = lo[3] + i;
+    c0 = lane.step(c0, av[e0], pb + ci[e0] * n);
+    c1 = lane.step(c1, av[e1], pb + ci[e1] * n);
+    c2 = lane.step(c2, av[e2], pb + ci[e2] * n);
+    c3 = lane.step(c3, av[e3], pb + ci[e3] * n);
+  }
+  const decltype(c0) c[4] = {c0, c1, c2, c3};
+  for (index_t q = 0; q < nr; ++q) {
+    auto acc = c[q];
+    for (index_t e = lo[q] + common; e < hi[q]; ++e) {
+      acc = lane.step(acc, av[e], pb + ci[e] * n);
     }
-    out[j] = acc;
+    lane.store(po + (r0 + q) * n, acc);
   }
 }
 
@@ -158,6 +253,24 @@ DenseMatrix spmm_csr_dense(const CsrMatrix& a, const DenseMatrix& b) {
     const index_t* rp = a.row_ptr().data();
     const index_t* ci = a.col_ids().data();
     const value_t* av = a.values().data();
+    if (n > 0 && n <= 8) {
+      // Groups of 4 rows; each iteration owns its rows exclusively.
+#pragma omp parallel for num_threads(nt) schedule(static)
+      for (index_t r0 = 0; r0 < a.rows(); r0 += 4) {
+        const index_t nr = std::min<index_t>(4, a.rows() - r0);
+        if (n == 1) {
+          spmm_csr_rows4_narrow_avx2<NarrowOne>(rp, ci, av, r0, nr, pb, n,
+                                                po);
+        } else if (n == 8) {
+          spmm_csr_rows4_narrow_avx2<NarrowFull>(rp, ci, av, r0, nr, pb, n,
+                                                 po);
+        } else {
+          spmm_csr_rows4_narrow_avx2<NarrowMasked>(rp, ci, av, r0, nr, pb,
+                                                   n, po);
+        }
+      }
+      return o;
+    }
 #pragma omp parallel for num_threads(nt) schedule(static)
     for (index_t r = 0; r < a.rows(); ++r) {
       spmm_csr_row_avx2(ci + rp[r], av + rp[r], rp[r + 1] - rp[r], pb, n,

@@ -42,9 +42,12 @@ bool coalescible_spmv_format(Format acf) {
   // server leans on this by serving *every* SpMV on such a plan through
   // the twin (singles as a width-1 stack): batched == unbatched bitwise
   // holds by construction, in the scalar and SIMD tiers alike.
-  // CSR: spmm_csr_dense accumulates each (row, column) cell over the
-  // row's nonzeros in index order with fused multiply-adds in vector
-  // tiles and tail alike — width only changes addressing. COO: the twin
+  // CSR: spmm_csr_dense accumulates each (row, column) cell from +0 over
+  // the row's nonzeros in index order, one fused multiply-add per
+  // nonzero, in its 32/16/8-wide tiles, masked tail lanes and the 4-row
+  // groups it uses below width 8 alike — width only changes which path
+  // and which addresses, never a cell's bits (tests/test_simd.cpp checks
+  // each column of widths 1..40 against width 1). COO: the twin
   // uses the same fixed row-aligned nnz partition (serial sweep when
   // unsorted) and mul+add per cell, which also matches spmv_coo exactly.
   // CSC is excluded: routing it through spmm_csc_dense would change

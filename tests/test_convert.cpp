@@ -2,7 +2,9 @@
 // any->any conversion layer (property: decode is invariant under convert).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <tuple>
+#include <vector>
 
 #include "convert/convert.hpp"
 #include "testing.hpp"
@@ -90,6 +92,83 @@ INSTANTIATE_TEST_SUITE_P(
                       std::tuple<index_t, index_t, double>{64, 64, 0.02},
                       std::tuple<index_t, index_t, double>{1, 100, 0.1},
                       std::tuple<index_t, index_t, double>{100, 1, 0.1}));
+
+// bsr_to_csr builds CSR row by row; it must equal the sorting
+// construction: every stored nonzero, in block order, through
+// CooMatrix::from_entries.
+CsrMatrix bsr_to_csr_by_sort(const BsrMatrix& a) {
+  std::vector<index_t> rows, cols;
+  std::vector<value_t> vals;
+  for (index_t gr = 0; gr < a.block_grid_rows(); ++gr) {
+    for (index_t b = a.block_row_ptr()[gr]; b < a.block_row_ptr()[gr + 1];
+         ++b) {
+      for (index_t br = 0; br < a.block_rows(); ++br) {
+        for (index_t bc = 0; bc < a.block_cols(); ++bc) {
+          const value_t x = a.block_values()[static_cast<std::size_t>(
+              (b * a.block_rows() + br) * a.block_cols() + bc)];
+          if (x == 0.0f) continue;
+          rows.push_back(gr * a.block_rows() + br);
+          cols.push_back(a.block_col_ids()[b] * a.block_cols() + bc);
+          vals.push_back(x);
+        }
+      }
+    }
+  }
+  return CsrMatrix::from_coo(CooMatrix::from_entries(
+      a.rows(), a.cols(), std::move(rows), std::move(cols), std::move(vals)));
+}
+
+void expect_same_csr(const CsrMatrix& got, const CsrMatrix& want) {
+  EXPECT_EQ(got.rows(), want.rows());
+  EXPECT_EQ(got.cols(), want.cols());
+  EXPECT_EQ(got.row_ptr(), want.row_ptr());
+  EXPECT_EQ(got.col_ids(), want.col_ids());
+  EXPECT_EQ(got.values(), want.values());
+}
+
+TEST(BsrToCsr, MatchesSortingConstruction) {
+  // Block shapes that do not divide the dimensions, rows spanning many
+  // blocks, empty block rows (density 0.02) and full ones (1.0).
+  const std::tuple<index_t, index_t, index_t, index_t, double> cases[] = {
+      {7, 11, 2, 3, 0.4}, {33, 17, 4, 4, 0.3}, {17, 33, 3, 5, 1.0},
+      {64, 64, 4, 4, 0.02}, {5, 100, 2, 7, 0.2}, {100, 5, 8, 2, 0.2},
+      {1, 1, 4, 4, 1.0}, {9, 9, 1, 1, 0.5}};
+  for (const auto& [m, k, br, bc, density] : cases) {
+    const auto bsr =
+        BsrMatrix::from_dense(random_dense(m, k, density, 0xB5), br, bc);
+    SCOPED_TRACE(::testing::Message() << m << "x" << k << " blocks " << br
+                                      << "x" << bc);
+    expect_same_csr(bsr_to_csr(bsr), bsr_to_csr_by_sort(bsr));
+  }
+}
+
+TEST(BsrToCsr, StoredZeroBlocksAndBoundaryPadding) {
+  // 5x7 in 2x3 blocks (grid 3x3). Block row 0 stores an all-zero block
+  // at column 0 and a boundary block at column 2 (matrix column 6, then
+  // two padding columns); block row 1 is empty; block row 2 holds only
+  // row 4 (its second row is padding) in two blocks.
+  std::vector<value_t> vals(4 * 6, 0.0f);
+  vals[6 + 0] = 1.0f;   // (0, 6)
+  vals[6 + 3] = -2.0f;  // (1, 6)
+  vals[12 + 1] = 3.0f;  // (4, 1)
+  vals[18 + 0] = 4.0f;  // (4, 6)
+  vals[18 + 1] = -0.0f; // (4, 7) would be padding: a zero is dropped
+  const auto bsr = BsrMatrix::from_parts(5, 7, 2, 3, {0, 2, 2, 4},
+                                         {0, 2, 0, 2}, std::move(vals));
+  const auto got = bsr_to_csr(bsr);
+  expect_same_csr(got, bsr_to_csr_by_sort(bsr));
+  EXPECT_EQ(got.row_ptr(), (std::vector<index_t>{0, 1, 2, 2, 2, 4}));
+  EXPECT_EQ(got.col_ids(), (std::vector<index_t>{6, 6, 1, 6}));
+}
+
+TEST(BsrToCsr, NonzeroPaddingIsRejected) {
+  // 3x3 in 2x2 blocks: block (1,1) covers (2,2) and three padding cells.
+  std::vector<value_t> vals(4, 0.0f);
+  vals[1] = 5.0f;  // (2, 3): outside the matrix
+  const auto bsr =
+      BsrMatrix::from_parts(3, 3, 2, 2, {0, 0, 1}, {1}, std::move(vals));
+  EXPECT_THROW(bsr_to_csr(bsr), std::invalid_argument);
+}
 
 TEST(DirectConverters, RlcWithEscapesToCoo) {
   DenseMatrix d(3, 40);

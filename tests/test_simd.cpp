@@ -14,11 +14,15 @@
 // or dropped term shows up at ~1e-1).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/aligned.hpp"
+#include "common/prng.hpp"
 #include "common/simd.hpp"
 #include "common/threads.hpp"
 #include "formats/bsr.hpp"
@@ -85,7 +89,9 @@ TEST(SimdKnob, OverrideBeatsDetection) {
   EXPECT_EQ(simd_override(), -1);
   // No override: env/detection decide; either way the predicate must be
   // false whenever the capability probe is.
-  if (!cpu_has_avx2()) EXPECT_FALSE(simd_enabled());
+  if (!cpu_has_avx2()) {
+    EXPECT_FALSE(simd_enabled());
+  }
 }
 
 TEST(SimdKnob, OverrideModeClamps) {
@@ -254,6 +260,117 @@ TEST_F(SimdVsScalar, EllPaddingIgnoresPoisonedVector) {
   EXPECT_EQ(y[1], 2.0f);
 }
 
+// --- Narrow widths: column tails and 4-row groups, bit for bit ---
+//
+// Every SIMD path of GEMM and CSR SpMM accumulates a cell with one fused
+// multiply-add per term in a fixed order, so a cell's bits equal a
+// sequential std::fmaf chain — whichever tile, masked tail lane or row
+// group computes it.
+
+std::vector<std::uint32_t> bits_of(const DenseMatrix& m) {
+  std::vector<std::uint32_t> out;
+  out.reserve(m.values().size());
+  for (const value_t x : m.values()) out.push_back(std::bit_cast<std::uint32_t>(x));
+  return out;
+}
+
+// CSR matrix whose row lengths cycle through `lengths` (columns drawn
+// without replacement, signed values), so 4-row groups mix empty, short
+// and long rows.
+CsrMatrix csr_with_row_lengths(index_t m, index_t k,
+                               const std::vector<index_t>& lengths,
+                               std::uint64_t seed) {
+  Prng rng(seed);
+  std::vector<index_t> row_ptr{0}, col_ids;
+  std::vector<value_t> values;
+  for (index_t r = 0; r < m; ++r) {
+    const auto len = lengths[static_cast<std::size_t>(r) % lengths.size()];
+    for (const auto c : rng.sample_distinct(static_cast<std::uint64_t>(k),
+                                            static_cast<std::uint64_t>(len))) {
+      col_ids.push_back(static_cast<index_t>(c));
+      values.push_back(rng.next_value(-1.5f, 1.5f));
+    }
+    row_ptr.push_back(static_cast<index_t>(col_ids.size()));
+  }
+  return CsrMatrix::from_parts(m, k, std::move(row_ptr), std::move(col_ids),
+                               std::move(values));
+}
+
+DenseMatrix signed_dense(index_t rows, index_t cols, std::uint64_t seed) {
+  Prng rng(seed);
+  DenseMatrix d(rows, cols);
+  for (auto& x : d.values()) x = rng.next_value(-1.5f, 1.5f);
+  return d;
+}
+
+TEST_F(SimdVsScalar, GemmNarrowWidthsBitEqualSequentialFma) {
+  set_simd_enabled(1);
+  // k = 300 spans two 256-deep k-panels; m % 4 covers full and partial
+  // row tiles; n covers every tail width, one tile plus a tail, and two.
+  const index_t k = 300;
+  std::vector<index_t> widths;
+  for (index_t n = 1; n <= 15; ++n) widths.push_back(n);
+  widths.insert(widths.end(), {16, 17, 31, 33});
+  for (const index_t m : {4, 5, 6, 7}) {
+    const auto a = mt::testing::random_dense(m, k, 0.8, 160 + m);
+    for (const index_t n : widths) {
+      const auto b = signed_dense(k, n, 170 + n);
+      DenseMatrix want(m, n);
+      for (index_t i = 0; i < m; ++i) {
+        for (index_t j = 0; j < n; ++j) {
+          value_t acc = 0.0f;
+          for (index_t kk = 0; kk < k; ++kk) {
+            acc = std::fmaf(a.at(i, kk), b.at(kk, j), acc);
+          }
+          want.set(i, j, acc);
+        }
+      }
+      EXPECT_EQ(bits_of(gemm(a, b)), bits_of(want)) << m << "x" << n;
+    }
+  }
+}
+
+TEST_F(SimdVsScalar, SpmmCsrNarrowWidthsBitEqualSequentialFma) {
+  set_simd_enabled(1);
+  // 23 rows (23 % 4 == 3) with lengths 0/1/2/3/many in shifting groups.
+  const index_t m = 23, k = 64;
+  const auto a = csr_with_row_lengths(m, k, {0, 1, 2, 3, 40, 3, 0, 40, 1}, 180);
+  for (index_t n = 1; n <= 40; ++n) {
+    const auto b = signed_dense(k, n, 190 + n);
+    DenseMatrix want(m, n);
+    for (index_t r = 0; r < m; ++r) {
+      for (index_t j = 0; j < n; ++j) {
+        value_t acc = 0.0f;
+        for (index_t i = a.row_ptr()[r]; i < a.row_ptr()[r + 1]; ++i) {
+          acc = std::fmaf(a.values()[i], b.at(a.col_ids()[i], j), acc);
+        }
+        want.set(r, j, acc);
+      }
+    }
+    EXPECT_EQ(bits_of(spmm_csr_dense(a, b)), bits_of(want)) << "width " << n;
+  }
+}
+
+TEST_F(SimdVsScalar, SpmmCsrColumnBitsIndependentOfWidth) {
+  set_simd_enabled(1);
+  const index_t m = 21, k = 48;
+  const auto a = csr_with_row_lengths(m, k, {3, 0, 30, 1, 2, 30, 0}, 181);
+  for (index_t n = 1; n <= 40; ++n) {
+    const auto b = signed_dense(k, n, 200 + n);
+    const auto wide = spmm_csr_dense(a, b);
+    for (index_t j = 0; j < n; ++j) {
+      DenseMatrix col(k, 1);
+      for (index_t kk = 0; kk < k; ++kk) col.set(kk, 0, b.at(kk, j));
+      const auto one = spmm_csr_dense(a, col);
+      for (index_t r = 0; r < m; ++r) {
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(wide.at(r, j)),
+                  std::bit_cast<std::uint32_t>(one.at(r, 0)))
+            << "width " << n << " cell (" << r << ", " << j << ")";
+      }
+    }
+  }
+}
+
 // --- Cache-blocked SpGEMM ---
 
 TEST(SpgemmTiling, TileWidthNeverChangesBits) {
@@ -268,6 +385,87 @@ TEST(SpgemmTiling, TileWidthNeverChangesBits) {
     EXPECT_EQ(got.col_ids(), ref.col_ids()) << "tile " << tile;
     EXPECT_EQ(got.values(), ref.values()) << "tile " << tile;
   }
+}
+
+// The dense-row drain (a single-tile row with at least n/4 products
+// sweeps the accumulator instead of an occupancy bitmap) against the
+// bitmap path, which every row takes once the tile is narrower than B.
+void expect_same_spgemm(const CsrMatrix& got, const CsrMatrix& want) {
+  EXPECT_EQ(got.row_ptr(), want.row_ptr());
+  EXPECT_EQ(got.col_ids(), want.col_ids());
+  ASSERT_EQ(got.values().size(), want.values().size());
+  for (std::size_t i = 0; i < got.values().size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(got.values()[i]),
+              std::bit_cast<std::uint32_t>(want.values()[i]))
+        << "value " << i;
+  }
+}
+
+TEST(SpgemmDenseRows, RandomOperandsMatchBitmapPath) {
+  TierGuard guard;
+  for (const double density : {0.02, 0.1, 0.3, 0.9}) {
+    const auto a = CsrMatrix::from_dense(
+        mt::testing::random_dense(37, 50, density, 210));
+    const auto b = CsrMatrix::from_dense(
+        mt::testing::random_dense(50, 90, density, 211));
+    expect_same_spgemm(spgemm_csr(a, b), spgemm_csr_tiled(a, b, 7));
+  }
+}
+
+TEST(SpgemmDenseRows, EdgeValuesMatchBitmapPath) {
+  TierGuard guard;
+  const value_t inf = std::numeric_limits<value_t>::infinity();
+  // B is 6 x 40, so the dense-row threshold is 10 products.
+  //   rows 0, 1: identical 12-entry rows (cancel against each other);
+  //   row 2: 9 entries; row 3: 10 entries (the two sides of the threshold);
+  //   row 4: +Inf at column 5 and explicit +0/-0 entries;
+  //   row 5: -Inf at column 5, tiny values that underflow to ±0.
+  const index_t n = 40;
+  std::vector<index_t> b_rp{0}, b_ci;
+  std::vector<value_t> b_v;
+  const auto add_row = [&](std::vector<std::pair<index_t, value_t>> row) {
+    for (const auto& [c, x] : row) {
+      b_ci.push_back(c);
+      b_v.push_back(x);
+    }
+    b_rp.push_back(static_cast<index_t>(b_ci.size()));
+  };
+  std::vector<std::pair<index_t, value_t>> twelve, nine, ten;
+  for (index_t c = 0; c < 12; ++c) twelve.push_back({3 * c, 0.25f * (c + 1)});
+  for (index_t c = 0; c < 9; ++c) nine.push_back({4 * c + 1, 1.5f - 0.1f * c});
+  for (index_t c = 0; c < 10; ++c) ten.push_back({4 * c + 2, 0.3f * c - 1.0f});
+  add_row(twelve);
+  add_row(twelve);
+  add_row(nine);
+  add_row(ten);
+  add_row({{0, 0.0f}, {5, inf}, {6, -0.0f}, {7, 2.0f}, {8, 1e-30f},
+           {9, 1.0f}, {10, 1.0f}, {11, 1.0f}, {12, 1.0f}, {13, 1.0f}});
+  add_row({{5, -inf}, {8, -1e-30f}, {9, 1e-30f}, {20, 3.0f}, {21, 1.0f},
+           {22, 1.0f}, {23, 1.0f}, {24, 1.0f}, {25, 1.0f}, {26, 1.0f}});
+  const auto b = CsrMatrix::from_parts(6, n, b_rp, b_ci, b_v);
+
+  // A rows: empty; exact cancellation (x*B0 - x*B1); below/at threshold;
+  // Inf alone (Inf kept); Inf + -Inf (NaN); ±0 and underflow products
+  // on a dense row; one more empty row at the end.
+  const std::vector<index_t> a_rp{0, 0, 2, 3, 4, 5, 7, 9, 9};
+  const std::vector<index_t> a_ci{0, 1, 2, 3, 4, 4, 5, 4, 5};
+  const std::vector<value_t> a_v{0.75f, -0.75f, 2.0f, -3.0f, 1.0f,
+                                 1.0f,  1.0f,   1e-20f, -1e-20f};
+  const auto a = CsrMatrix::from_parts(8, 6, a_rp, a_ci, a_v);
+
+  const auto got = spgemm_csr(a, b);
+  expect_same_spgemm(got, spgemm_csr_tiled(a, b, 7));
+  expect_same_spgemm(got, spgemm_csr_tiled(a, b, 1));
+  // Row 1 cancels to exact zeros and stores nothing; row 5 holds a NaN
+  // at column 5; empty A rows stay empty.
+  EXPECT_EQ(got.row_ptr()[1], 0);
+  EXPECT_EQ(got.row_ptr()[2], got.row_ptr()[1]);
+  bool nan_at_5 = false;
+  for (index_t i = got.row_ptr()[5]; i < got.row_ptr()[6]; ++i) {
+    nan_at_5 = nan_at_5 || (got.col_ids()[i] == 5 && std::isnan(got.values()[i]));
+  }
+  EXPECT_TRUE(nan_at_5);
+  EXPECT_EQ(got.row_ptr()[8], got.row_ptr()[7]);
 }
 
 // --- Aligned value storage ---
