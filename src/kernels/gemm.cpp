@@ -20,44 +20,20 @@ constexpr index_t kMr = 4;
 constexpr index_t kNr = 16;
 constexpr index_t kKc = 256;
 
-// One mr x 16 output tile accumulated over the k-panel [k0, k1). The
-// tile is loaded once, FMA'd kc times, stored once; k advances in the
-// same ascending order as the scalar loop, so per-cell accumulation
-// order matches scalar exactly (FMA rounding and the zero-skip aside).
-MT_SIMD_TARGET void gemm_tile_avx2(const value_t* pa, const value_t* pb,
-                                   value_t* po, index_t k, index_t n,
-                                   index_t i0, index_t mr, index_t k0,
-                                   index_t k1, index_t j0) {
-  __m256 c[kMr][2];
-  for (index_t r = 0; r < mr; ++r) {
-    c[r][0] = simd::load(po + (i0 + r) * n + j0);
-    c[r][1] = simd::load(po + (i0 + r) * n + j0 + 8);
-  }
-  for (index_t kk = k0; kk < k1; ++kk) {
-    const __m256 b0 = simd::load(pb + kk * n + j0);
-    const __m256 b1 = simd::load(pb + kk * n + j0 + 8);
-    for (index_t r = 0; r < mr; ++r) {
-      const __m256 av = simd::set1(pa[(i0 + r) * k + kk]);
-      c[r][0] = simd::fma(av, b0, c[r][0]);
-      c[r][1] = simd::fma(av, b1, c[r][1]);
-    }
-  }
-  for (index_t r = 0; r < mr; ++r) {
-    simd::store(po + (i0 + r) * n + j0, c[r][0]);
-    simd::store(po + (i0 + r) * n + j0 + 8, c[r][1]);
-  }
-}
-
-// The column tail (w = n % kNr < 16 columns at j0) of one mr-row tile:
-// the same register tile as gemm_tile_avx2 with V masked accumulators per
-// row (V = 1 for w <= 8, else 2). Masked-off lanes are never read or
-// written, and a live lane computes exactly std::fmaf(a, b, c) with k
-// ascending as in the full tile, so a cell's bits do not depend on
-// whether its column falls in a tile or the tail — concatenating batched
+// One mr-row output tile of V ymm columns at j0, accumulated over the
+// k-panel [k0, k1). The tile is loaded once, FMA'd kc times, stored
+// once; k advances in the same ascending order as the scalar loop, so
+// per-cell accumulation order matches scalar exactly (FMA rounding and
+// the zero-skip aside). The full 16-column tile is <2, false>. When
+// kMasked, the tile is the column tail: only its first w < 16 columns
+// are live (V = 1 for w <= 8, else 2), masked-off lanes are never read
+// or written, and a live lane computes exactly std::fmaf(a, b, c) in
+// the same k order. So a cell's bits do not depend on whether its
+// column falls in a full tile or the tail, and concatenating batched
 // GEMM factors (which shifts the tile grid) cannot change per-request
 // results.
-template <int V>
-MT_SIMD_TARGET void gemm_tail_avx2(const value_t* pa, const value_t* pb,
+template <int V, bool kMasked>
+MT_SIMD_TARGET void gemm_tile_avx2(const value_t* pa, const value_t* pb,
                                    value_t* po, index_t k, index_t n,
                                    index_t i0, index_t mr, index_t k0,
                                    index_t k1, index_t j0, index_t w) {
@@ -66,13 +42,23 @@ MT_SIMD_TARGET void gemm_tail_avx2(const value_t* pa, const value_t* pb,
   __m256 c[kMr][V];
   for (index_t r = 0; r < mr; ++r) {
     for (int v = 0; v < V; ++v) {
-      c[r][v] = simd::load_masked(po + (i0 + r) * n + j0 + 8 * v, mask[v]);
+      const value_t* p = po + (i0 + r) * n + j0 + 8 * v;
+      if constexpr (kMasked) {
+        c[r][v] = simd::load_masked(p, mask[v]);
+      } else {
+        c[r][v] = simd::load(p);
+      }
     }
   }
   for (index_t kk = k0; kk < k1; ++kk) {
     __m256 b[V];
     for (int v = 0; v < V; ++v) {
-      b[v] = simd::load_masked(pb + kk * n + j0 + 8 * v, mask[v]);
+      const value_t* p = pb + kk * n + j0 + 8 * v;
+      if constexpr (kMasked) {
+        b[v] = simd::load_masked(p, mask[v]);
+      } else {
+        b[v] = simd::load(p);
+      }
     }
     for (index_t r = 0; r < mr; ++r) {
       const __m256 av = simd::set1(pa[(i0 + r) * k + kk]);
@@ -81,7 +67,12 @@ MT_SIMD_TARGET void gemm_tail_avx2(const value_t* pa, const value_t* pb,
   }
   for (index_t r = 0; r < mr; ++r) {
     for (int v = 0; v < V; ++v) {
-      simd::store_masked(po + (i0 + r) * n + j0 + 8 * v, mask[v], c[r][v]);
+      value_t* p = po + (i0 + r) * n + j0 + 8 * v;
+      if constexpr (kMasked) {
+        simd::store_masked(p, mask[v], c[r][v]);
+      } else {
+        simd::store(p, c[r][v]);
+      }
     }
   }
 }
@@ -108,13 +99,16 @@ DenseMatrix gemm(const DenseMatrix& a, const DenseMatrix& b) {
       for (index_t k0 = 0; k0 < k; k0 += kKc) {
         const index_t k1 = std::min(k, k0 + kKc);
         for (index_t j0 = 0; j0 < j_main; j0 += kNr) {
-          gemm_tile_avx2(pa, pb, po, k, n, i0, mr, k0, k1, j0);
+          gemm_tile_avx2<2, false>(pa, pb, po, k, n, i0, mr, k0, k1, j0,
+                                   kNr);
         }
         const index_t w = n - j_main;
         if (w > 8) {
-          gemm_tail_avx2<2>(pa, pb, po, k, n, i0, mr, k0, k1, j_main, w);
+          gemm_tile_avx2<2, true>(pa, pb, po, k, n, i0, mr, k0, k1, j_main,
+                                  w);
         } else if (w > 0) {
-          gemm_tail_avx2<1>(pa, pb, po, k, n, i0, mr, k0, k1, j_main, w);
+          gemm_tile_avx2<1, true>(pa, pb, po, k, n, i0, mr, k0, k1, j_main,
+                                  w);
         }
       }
     }

@@ -77,9 +77,14 @@ MT_SIMD_TARGET void spmm_csr_row_avx2(const index_t* cols,
 }
 
 // Accumulator policies of the narrow row groups below: width 1 keeps a
-// row's accumulator in the low lane of an xmm, widths 2..7 in a masked
-// ymm, width 8 in a full one. Either way a live lane takes exactly one
-// fused multiply-add per nonzero.
+// row's accumulator in the low lane of an xmm, widths 2..8 in a masked
+// ymm. Either way a live lane takes exactly one fused multiply-add per
+// nonzero. Width 1 (every CSR SpMV) keeps its own policy because it was
+// measured faster: on four of five Table III operands the masked ymm
+// made width 1 1.1-1.4x slower in thread CPU time (likely because a
+// 32-byte window at a float offset crosses a cache line in 7 of 16
+// positions), while a full ymm at width 8 gained 3-5% at most over the
+// masked one.
 struct NarrowOne {
   explicit NarrowOne(index_t) {}
   MT_SIMD_TARGET __m128 zero() const { return _mm_setzero_ps(); }
@@ -103,18 +108,6 @@ struct NarrowMasked {
   }
   MT_SIMD_TARGET void store(value_t* out, __m256 c) const {
     simd::store_masked(out, mask, c);
-  }
-};
-
-struct NarrowFull {
-  explicit NarrowFull(index_t) {}
-  MT_SIMD_TARGET __m256 zero() const { return simd::zero(); }
-  MT_SIMD_TARGET __m256 step(__m256 c, value_t a,
-                             const value_t* brow) const {
-    return simd::fma(simd::set1(a), simd::load(brow), c);
-  }
-  MT_SIMD_TARGET void store(value_t* out, __m256 c) const {
-    simd::store(out, c);
   }
 };
 
@@ -261,9 +254,6 @@ DenseMatrix spmm_csr_dense(const CsrMatrix& a, const DenseMatrix& b) {
         if (n == 1) {
           spmm_csr_rows4_narrow_avx2<NarrowOne>(rp, ci, av, r0, nr, pb, n,
                                                 po);
-        } else if (n == 8) {
-          spmm_csr_rows4_narrow_avx2<NarrowFull>(rp, ci, av, r0, nr, pb, n,
-                                                 po);
         } else {
           spmm_csr_rows4_narrow_avx2<NarrowMasked>(rp, ci, av, r0, nr, pb,
                                                    n, po);

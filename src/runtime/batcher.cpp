@@ -45,7 +45,7 @@ bool coalescible_spmv_format(Format acf) {
   // CSR: spmm_csr_dense accumulates each (row, column) cell from +0 over
   // the row's nonzeros in index order, one fused multiply-add per
   // nonzero, in its 32/16/8-wide tiles, masked tail lanes and the 4-row
-  // groups it uses below width 8 alike — width only changes which path
+  // groups it uses up to width 8 alike — width only changes which path
   // and which addresses, never a cell's bits (tests/test_simd.cpp checks
   // each column of widths 1..40 against width 1). COO: the twin
   // uses the same fixed row-aligned nnz partition (serial sweep when

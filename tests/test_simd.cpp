@@ -387,7 +387,7 @@ TEST(SpgemmTiling, TileWidthNeverChangesBits) {
   }
 }
 
-// The dense-row drain (a single-tile row with at least n/4 products
+// The dense-row drain (a single-tile row with at least n/2 products
 // sweeps the accumulator instead of an occupancy bitmap) against the
 // bitmap path, which every row takes once the tile is narrower than B.
 void expect_same_spgemm(const CsrMatrix& got, const CsrMatrix& want) {
@@ -403,7 +403,7 @@ void expect_same_spgemm(const CsrMatrix& got, const CsrMatrix& want) {
 
 TEST(SpgemmDenseRows, RandomOperandsMatchBitmapPath) {
   TierGuard guard;
-  for (const double density : {0.02, 0.1, 0.3, 0.9}) {
+  for (const double density : {0.02, 0.1, 0.13, 0.3, 0.9}) {
     const auto a = CsrMatrix::from_dense(
         mt::testing::random_dense(37, 50, density, 210));
     const auto b = CsrMatrix::from_dense(
@@ -415,12 +415,12 @@ TEST(SpgemmDenseRows, RandomOperandsMatchBitmapPath) {
 TEST(SpgemmDenseRows, EdgeValuesMatchBitmapPath) {
   TierGuard guard;
   const value_t inf = std::numeric_limits<value_t>::infinity();
-  // B is 6 x 40, so the dense-row threshold is 10 products.
+  // B is 6 x 20, so the dense-row threshold is 10 products.
   //   rows 0, 1: identical 12-entry rows (cancel against each other);
   //   row 2: 9 entries; row 3: 10 entries (the two sides of the threshold);
   //   row 4: +Inf at column 5 and explicit +0/-0 entries;
   //   row 5: -Inf at column 5, tiny values that underflow to ±0.
-  const index_t n = 40;
+  const index_t n = 20;
   std::vector<index_t> b_rp{0}, b_ci;
   std::vector<value_t> b_v;
   const auto add_row = [&](std::vector<std::pair<index_t, value_t>> row) {
@@ -431,17 +431,17 @@ TEST(SpgemmDenseRows, EdgeValuesMatchBitmapPath) {
     b_rp.push_back(static_cast<index_t>(b_ci.size()));
   };
   std::vector<std::pair<index_t, value_t>> twelve, nine, ten;
-  for (index_t c = 0; c < 12; ++c) twelve.push_back({3 * c, 0.25f * (c + 1)});
-  for (index_t c = 0; c < 9; ++c) nine.push_back({4 * c + 1, 1.5f - 0.1f * c});
-  for (index_t c = 0; c < 10; ++c) ten.push_back({4 * c + 2, 0.3f * c - 1.0f});
+  for (index_t c = 0; c < 12; ++c) twelve.push_back({c + 8, 0.25f * (c + 1)});
+  for (index_t c = 0; c < 9; ++c) nine.push_back({2 * c + 1, 1.5f - 0.1f * c});
+  for (index_t c = 0; c < 10; ++c) ten.push_back({2 * c, 0.3f * c - 1.0f});
   add_row(twelve);
   add_row(twelve);
   add_row(nine);
   add_row(ten);
   add_row({{0, 0.0f}, {5, inf}, {6, -0.0f}, {7, 2.0f}, {8, 1e-30f},
            {9, 1.0f}, {10, 1.0f}, {11, 1.0f}, {12, 1.0f}, {13, 1.0f}});
-  add_row({{5, -inf}, {8, -1e-30f}, {9, 1e-30f}, {20, 3.0f}, {21, 1.0f},
-           {22, 1.0f}, {23, 1.0f}, {24, 1.0f}, {25, 1.0f}, {26, 1.0f}});
+  add_row({{5, -inf}, {8, -1e-30f}, {9, 1e-30f}, {13, 1.0f}, {14, 3.0f},
+           {15, 1.0f}, {16, 1.0f}, {17, 1.0f}, {18, 1.0f}, {19, 1.0f}});
   const auto b = CsrMatrix::from_parts(6, n, b_rp, b_ci, b_v);
 
   // A rows: empty; exact cancellation (x*B0 - x*B1); below/at threshold;
