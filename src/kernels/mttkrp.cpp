@@ -11,31 +11,49 @@ namespace mt {
 namespace {
 
 // One CSF x-slice restricted to the rank tile [r0, r0+16): the fiber
-// accumulator lives in two ymm registers across the whole z walk, and
-// the B/C factor-row touches are confined to a 16-float panel — the
+// accumulator lives in V ymm registers across the whole z walk, and the
+// B/C factor-row touches are confined to a 16-float panel — the
 // rank-blocking that keeps factor panels L1-resident while the (much
 // larger) id/value arrays stream. Per-(ix, r) accumulation order is the
-// same z-then-y order as the scalar loop.
+// same z-then-y order as the scalar loop. The full tile is <2, false>.
+// When kMasked, the tile is the rank tail: only its first w < 16 ranks
+// are live (V = 1 for w <= 8, else 2), and masked-off lanes, which lie
+// past the end of a factor row, are never read or written.
+template <int V, bool kMasked>
 MT_SIMD_TARGET void mttkrp_csf_slice_tile_avx2(
     const index_t* y_ptr, const index_t* y_ids, const index_t* z_ptr,
     const index_t* z_ids, const value_t* xv, const value_t* pb,
     const value_t* pc, value_t* pm, index_t rank, index_t xi, index_t ix,
-    index_t r0) {
+    index_t r0, index_t w) {
+  __m256i mask[V];
+  for (int v = 0; v < V; ++v) mask[v] = simd::first_lanes(w - 8 * v);
   for (index_t yi = y_ptr[xi]; yi < y_ptr[xi + 1]; ++yi) {
     const index_t iy = y_ids[yi];
-    __m256 acc0 = simd::zero();
-    __m256 acc1 = simd::zero();
+    __m256 acc[V];
+    for (int v = 0; v < V; ++v) acc[v] = simd::zero();
     for (index_t zi = z_ptr[yi]; zi < z_ptr[yi + 1]; ++zi) {
-      const __m256 v = simd::set1(xv[zi]);
+      const __m256 x = simd::set1(xv[zi]);
       const value_t* pcr = pc + z_ids[zi] * rank + r0;
-      acc0 = simd::fma(v, simd::load(pcr), acc0);
-      acc1 = simd::fma(v, simd::load(pcr + 8), acc1);
+      for (int v = 0; v < V; ++v) {
+        const __m256 cv = kMasked ? simd::load_masked(pcr + 8 * v, mask[v])
+                                  : simd::load(pcr + 8 * v);
+        acc[v] = simd::fma(x, cv, acc[v]);
+      }
     }
     const value_t* pbr = pb + iy * rank + r0;
     value_t* pmr = pm + ix * rank + r0;
-    simd::store(pmr, simd::fma(acc0, simd::load(pbr), simd::load(pmr)));
-    simd::store(pmr + 8,
-                simd::fma(acc1, simd::load(pbr + 8), simd::load(pmr + 8)));
+    for (int v = 0; v < V; ++v) {
+      if constexpr (kMasked) {
+        simd::store_masked(
+            pmr + 8 * v, mask[v],
+            simd::fma(acc[v], simd::load_masked(pbr + 8 * v, mask[v]),
+                      simd::load_masked(pmr + 8 * v, mask[v])));
+      } else {
+        simd::store(pmr + 8 * v,
+                    simd::fma(acc[v], simd::load(pbr + 8 * v),
+                              simd::load(pmr + 8 * v)));
+      }
+    }
   }
 }
 
@@ -85,36 +103,20 @@ DenseMatrix mttkrp_csf(const CsfTensor3& x, const DenseMatrix& b,
     const index_t* z_ptr = x.z_ptr().data();
     const index_t* z_ids = x.z_ids().data();
     const value_t* xv = x.values().data();
-#pragma omp parallel num_threads(nt)
-    {
-      std::vector<value_t> fiber_acc(static_cast<std::size_t>(rank - r_main));
-#pragma omp for schedule(static)
-      for (index_t xi = 0; xi < n1; ++xi) {
-        const index_t ix = x.x_ids()[static_cast<std::size_t>(xi)];
-        for (index_t r0 = 0; r0 < r_main; r0 += 16) {
-          mttkrp_csf_slice_tile_avx2(y_ptr, y_ids, z_ptr, z_ids, xv, pb, pc,
-                                     pm, rank, xi, ix, r0);
-        }
-        // Rank tail (< 16): scalar, same fiber walk per remaining rank.
-        if (r_main < rank) {
-          for (index_t yi = y_ptr[xi]; yi < y_ptr[xi + 1]; ++yi) {
-            const index_t iy = y_ids[yi];
-            std::fill(fiber_acc.begin(), fiber_acc.end(), 0.0f);
-            for (index_t zi = z_ptr[yi]; zi < z_ptr[yi + 1]; ++zi) {
-              const index_t iz = z_ids[zi];
-              const value_t v = xv[zi];
-              for (index_t r = r_main; r < rank; ++r) {
-                fiber_acc[static_cast<std::size_t>(r - r_main)] +=
-                    v * pc[iz * rank + r];
-              }
-            }
-            for (index_t r = r_main; r < rank; ++r) {
-              pm[ix * rank + r] +=
-                  fiber_acc[static_cast<std::size_t>(r - r_main)] *
-                  pb[iy * rank + r];
-            }
-          }
-        }
+    const index_t w = rank - r_main;
+#pragma omp parallel for num_threads(nt) schedule(static)
+    for (index_t xi = 0; xi < n1; ++xi) {
+      const index_t ix = x.x_ids()[static_cast<std::size_t>(xi)];
+      for (index_t r0 = 0; r0 < r_main; r0 += 16) {
+        mttkrp_csf_slice_tile_avx2<2, false>(y_ptr, y_ids, z_ptr, z_ids, xv,
+                                             pb, pc, pm, rank, xi, ix, r0, 16);
+      }
+      if (w > 8) {
+        mttkrp_csf_slice_tile_avx2<2, true>(y_ptr, y_ids, z_ptr, z_ids, xv, pb,
+                                            pc, pm, rank, xi, ix, r_main, w);
+      } else if (w > 0) {
+        mttkrp_csf_slice_tile_avx2<1, true>(y_ptr, y_ids, z_ptr, z_ids, xv, pb,
+                                            pc, pm, rank, xi, ix, r_main, w);
       }
     }
     return m;

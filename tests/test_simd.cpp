@@ -211,15 +211,19 @@ TEST_F(SimdVsScalar, GemmAcrossPanelBoundaries) {
 }
 
 TEST_F(SimdVsScalar, MttkrpCsfRankTiles) {
-  // Rank 24: one 16-wide tile plus an 8-rank scalar tail.
+  // Ranks below one 16-wide tile (masked tails of one and two vectors),
+  // and one tile plus a one- or two-vector tail.
   const auto t = mt::testing::random_tensor(16, 14, 12, 0.2, 119);
   const auto x = CsfTensor3::from_dense(t);
-  const auto b = mt::testing::random_dense(14, 24, 1.0, 120);
-  const auto c = mt::testing::random_dense(12, 24, 1.0, 121);
-  set_simd_enabled(0);
-  const auto s = mttkrp_csf(x, b, c);
-  set_simd_enabled(1);
-  expect_close(mttkrp_csf(x, b, c), s);
+  for (const index_t rank : {1, 8, 15, 17, 24}) {
+    const auto b = mt::testing::random_dense(14, rank, 1.0, 120);
+    const auto c = mt::testing::random_dense(12, rank, 1.0, 121);
+    set_simd_enabled(0);
+    const auto s = mttkrp_csf(x, b, c);
+    set_simd_enabled(1);
+    SCOPED_TRACE(rank);
+    expect_close(mttkrp_csf(x, b, c), s);
+  }
 }
 
 // --- SIMD tier determinism ---
@@ -305,13 +309,14 @@ DenseMatrix signed_dense(index_t rows, index_t cols, std::uint64_t seed) {
 
 TEST_F(SimdVsScalar, GemmNarrowWidthsBitEqualSequentialFma) {
   set_simd_enabled(1);
-  // k = 300 spans two 256-deep k-panels; m % 4 covers full and partial
-  // row tiles; n covers every tail width, one tile plus a tail, and two.
+  // k = 300 spans two 256-deep k-panels; m covers every residue of the
+  // 8- and 4-row tile heights and row counts below them; n covers every
+  // tail width, one tile plus a tail, and two.
   const index_t k = 300;
   std::vector<index_t> widths;
   for (index_t n = 1; n <= 15; ++n) widths.push_back(n);
-  widths.insert(widths.end(), {16, 17, 31, 33});
-  for (const index_t m : {4, 5, 6, 7}) {
+  widths.insert(widths.end(), {16, 17, 31, 33, 37});
+  for (const index_t m : {1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 17}) {
     const auto a = mt::testing::random_dense(m, k, 0.8, 160 + m);
     for (const index_t n : widths) {
       const auto b = signed_dense(k, n, 170 + n);
